@@ -67,6 +67,9 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   supplies_.resize(n * static_cast<std::size_t>(config_.injection_vcs));
   vc_busy_counts_.assign(static_cast<std::size_t>(vcs), 0);
   node_traffic_.assign(n, 0);
+  vc_words_ = mask_words(static_cast<std::size_t>(kPortCount * vcs));
+  route_vcs_.assign(n * vc_words_, 0);
+  switch_vcs_.assign(n * vc_words_, 0);
   route_pending_.assign(n, 0);
   switch_pending_.assign(n, 0);
   inject_pending_.assign(n, 0);
@@ -164,33 +167,37 @@ void Network::setup_tiles() {
 
 // ---- occupancy bookkeeping -----------------------------------------------
 
-void Network::bump_route(NodeId node, int delta) {
+void Network::mark_ready(Ready kind, NodeId node, std::size_t ivc) {
   const auto sid = static_cast<std::size_t>(node);
-  auto& p = route_pending_[sid];
-  assert(delta >= 0 || p >= static_cast<std::uint16_t>(-delta));
-  const bool was_zero = p == 0;
-  p = static_cast<std::uint16_t>(static_cast<int>(p) + delta);
+  const bool route = kind == Ready::Route;
+  auto& bits = route ? route_vcs_ : switch_vcs_;
+  const std::size_t bit = sid * vc_words_ * 64 + ivc;
+  assert(!test_bit(bits, bit) && "ready bit set twice");
+  set_bit(bits, bit);
+  if ((route ? route_pending_ : switch_pending_)[sid]++ != 0) return;
   Tile& t = tiles_[tile_of_node_[sid]];
-  if (was_zero && p > 0) {
+  if (route) {
     ++t.active_route;
     set_bit(t.route_mask, local_of_node_[sid]);
-  } else if (!was_zero && p == 0) {
-    --t.active_route;
-    clear_bit(t.route_mask, local_of_node_[sid]);
+  } else {
+    ++t.active_switch;
+    set_bit(t.switch_mask, local_of_node_[sid]);
   }
 }
 
-void Network::bump_switch(NodeId node, int delta) {
+void Network::unmark_ready(Ready kind, NodeId node, std::size_t ivc) {
   const auto sid = static_cast<std::size_t>(node);
-  auto& p = switch_pending_[sid];
-  assert(delta >= 0 || p >= static_cast<std::uint16_t>(-delta));
-  const bool was_zero = p == 0;
-  p = static_cast<std::uint16_t>(static_cast<int>(p) + delta);
+  const bool route = kind == Ready::Route;
+  auto& bits = route ? route_vcs_ : switch_vcs_;
+  const std::size_t bit = sid * vc_words_ * 64 + ivc;
+  assert(test_bit(bits, bit) && "clearing a ready bit that is not set");
+  clear_bit(bits, bit);
+  if (--(route ? route_pending_ : switch_pending_)[sid] != 0) return;
   Tile& t = tiles_[tile_of_node_[sid]];
-  if (was_zero && p > 0) {
-    ++t.active_switch;
-    set_bit(t.switch_mask, local_of_node_[sid]);
-  } else if (!was_zero && p == 0) {
+  if (route) {
+    --t.active_route;
+    clear_bit(t.route_mask, local_of_node_[sid]);
+  } else {
     --t.active_switch;
     clear_bit(t.switch_mask, local_of_node_[sid]);
   }
@@ -221,11 +228,12 @@ void Network::note_link_full(Tile& t, std::size_t link_idx) {
   set_bit(t.link_mask, link_pos_[link_idx]);
 }
 
-void Network::note_buffer_push(NodeId node, const InputVc& ivc, const Flit& f,
+void Network::note_buffer_push(NodeId node, const InputVc& ivc,
+                               std::size_t ivc_idx, const Flit& f,
                                bool was_empty) {
   if (ivc.stage == IvcStage::Active) {
     // A worm owns the VC; a new flit is sendable iff the buffer was dry.
-    if (was_empty) bump_switch(node, +1);
+    if (was_empty) mark_ready(Ready::Switch, node, ivc_idx);
     return;
   }
   // Not Active and the buffer was empty: wormhole ordering guarantees the
@@ -233,7 +241,7 @@ void Network::note_buffer_push(NodeId node, const InputVc& ivc, const Flit& f,
   assert(ivc.stage == IvcStage::Idle || !was_empty);
   if (was_empty) {
     assert(is_head(f.type) && "body flit arrived into an idle empty VC");
-    bump_route(node, +1);
+    mark_ready(Ready::Route, node, ivc_idx);
   }
   (void)f;
 }
@@ -252,6 +260,8 @@ void Network::rebuild_active_sets() {
     assert(t.credits.empty() && t.retires.empty() && t.ejects.empty());
   }
   std::fill(link_vc_allocated_.begin(), link_vc_allocated_.end(), 0);
+  std::fill(route_vcs_.begin(), route_vcs_.end(), 0);
+  std::fill(switch_vcs_.begin(), switch_vcs_.end(), 0);
   queued_messages_ = 0;
   busy_supplies_ = 0;
   std::uint64_t flits = 0;
@@ -266,9 +276,14 @@ void Network::rebuild_active_sets() {
         const InputVc& ivc = rt.input(port, vc);
         flits += ivc.buf.size();
         if (ivc.buf.empty()) continue;
+        // Node n's bits start at bit n * vc_words_ * 64 of the vectors.
+        const std::size_t bit = sid * vc_words_ * 64 +
+                                static_cast<std::size_t>(port * vcs + vc);
         if (ivc.stage == IvcStage::Active) {
+          set_bit(switch_vcs_, bit);
           ++sendable;
         } else if (is_head(ivc.buf.front().type)) {
+          set_bit(route_vcs_, bit);
           ++routable;
         }
       }
@@ -903,6 +918,28 @@ void Network::audit_invariants(int level) const {
     }
   }
 
+  // Per-VC ready bitmaps: each node's popcount is its pending counter
+  // (level 2 below checks every bit against the router state).
+  if (route_vcs_.size() != routers_.size() * vc_words_ ||
+      switch_vcs_.size() != routers_.size() * vc_words_) {
+    fail("per-VC ready bitmaps sized for a different mesh or VC count");
+  }
+  for (NodeId id = 0; id < mesh_->node_count(); ++id) {
+    int routable = 0;
+    int sendable = 0;
+    for (std::size_t w = 0; w < vc_words_; ++w) {
+      routable += std::popcount(ready_words(Ready::Route, id)[w]);
+      sendable += std::popcount(ready_words(Ready::Switch, id)[w]);
+    }
+    const auto sid = static_cast<std::size_t>(id);
+    if (routable != route_pending_[sid]) {
+      fail("routable-VC bitmap popcount != route_pending counter");
+    }
+    if (sendable != switch_pending_[sid]) {
+      fail("sendable-VC bitmap popcount != switch_pending counter");
+    }
+  }
+
   if (level < 2) return;
 
   // ---- level 2: full recount of the network ------------------------------
@@ -937,14 +974,24 @@ void Network::audit_invariants(int level) const {
             ivc.buf.size() > static_cast<std::size_t>(config_.buffer_depth)) {
           fail("input VC buffer deeper than the credit budget");
         }
-        if (!ivc.buf.empty()) {
-          if (ivc.stage == IvcStage::Active) {
-            ++sendable;
-          } else if (is_head(ivc.buf.front().type)) {
-            ++routable;
-          } else {
-            fail("non-Active input VC fronted by a body flit");
-          }
+        const bool is_sendable =
+            !ivc.buf.empty() && ivc.stage == IvcStage::Active;
+        const bool is_routable = !ivc.buf.empty() &&
+                                 ivc.stage != IvcStage::Active &&
+                                 is_head(ivc.buf.front().type);
+        if (!ivc.buf.empty() && !is_sendable && !is_routable) {
+          fail("non-Active input VC fronted by a body flit");
+        }
+        if (is_sendable) ++sendable;
+        if (is_routable) ++routable;
+        // Node n's bits start at bit n * vc_words_ * 64 of the vectors.
+        const std::size_t bit = sid * vc_words_ * 64 +
+                                static_cast<std::size_t>(port * vcs + vc);
+        if (test_bit(switch_vcs_, bit) != is_sendable) {
+          fail("sendable-VC bit disagrees with the input VC's state");
+        }
+        if (test_bit(route_vcs_, bit) != is_routable) {
+          fail("routable-VC bit disagrees with the input VC's state");
         }
         if (ivc.stage == IvcStage::Active &&
             ivc.out_dir != Direction::Local) {
@@ -1101,12 +1148,15 @@ void Network::arrive_link(Tile& t, std::size_t link_idx) {
              static_cast<std::uint32_t>(&t - tiles_.data()) &&
          "arrival processed by a tile that does not own the consumer");
   Router& down = routers_[static_cast<std::size_t>(down_id)];
-  InputVc& ivc = down.input(port_index(opposite(dir)), reg.vc);
+  const int in_port = port_index(opposite(dir));
+  InputVc& ivc = down.input(in_port, reg.vc);
   assert(static_cast<int>(ivc.buf.size()) < config_.buffer_depth &&
          "credit protocol violated");
   const bool was_empty = ivc.buf.empty();
   ivc.buf.push_back(reg.flit);
-  note_buffer_push(down_id, ivc, reg.flit, was_empty);
+  note_buffer_push(down_id, ivc,
+                   static_cast<std::size_t>(in_port * down.vcs() + reg.vc),
+                   reg.flit, was_empty);
   reg.full = false;
   --t.d.full_links;
 }
@@ -1160,6 +1210,7 @@ void Network::inject_node(Tile& t, NodeId id) {
   const Coord c = mesh_->coord_of(id);
   if (!faults_->active(c)) return;
   const auto local = port_index(Direction::Local);
+  Router& rt = router_mut(c);
   auto& queue = queues_[static_cast<std::size_t>(id)];
   for (int iv = 0; iv < config_.injection_vcs; ++iv) {
     Supply& sup = supply(id, iv);
@@ -1171,7 +1222,7 @@ void Network::inject_node(Tile& t, NodeId id) {
       --t.d.queued_messages;
       ++t.d.busy_supplies;  // inject_pending_ is unchanged: queue -1, busy +1
     }
-    InputVc& ivc = router_mut(c).input(local, iv);
+    InputVc& ivc = rt.input(local, iv);
     if (static_cast<int>(ivc.buf.size()) >= config_.buffer_depth) continue;
     Message& m = messages_[sup.current];
     Flit flit;
@@ -1193,7 +1244,8 @@ void Network::inject_node(Tile& t, NodeId id) {
     const bool was_empty = ivc.buf.empty();
     ivc.buf.push_back(flit);
     ++t.d.buffered_flits;
-    note_buffer_push(id, ivc, flit, was_empty);
+    note_buffer_push(id, ivc, static_cast<std::size_t>(local * rt.vcs() + iv),
+                     flit, was_empty);
     ++sup.next_seq;
     if (sup.next_seq == m.length) {
       sup.current = kInvalidMessage;
@@ -1295,10 +1347,6 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
   const int nivc = kPortCount * vcs;
   const Coord c = mesh_->coord_of(id);
   Router& rt = routers_[static_cast<std::size_t>(id)];
-  int remaining = pending;
-#ifndef NDEBUG
-  int found = 0;
-#endif
   // Random rotation keeps allocation fair without a full shuffle.  The
   // offset — like every other draw below — is a counter-based hash, a pure
   // function of (seed, cycle, node): skipping idle routers, retiling the
@@ -1309,19 +1357,15 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
                          static_cast<std::uint64_t>(nivc)));
   sim::CounterRng sel(
       sim::counter_hash(sel_seed_, cycle_, static_cast<std::uint64_t>(id)));
-  for (int k = 0; k < nivc; ++k) {
-    if (!exhaustive && remaining == 0) break;
-    const int idx = (k + offset) % nivc;
+  // Routes the header at the front of input VC `idx` (flat port * vcs +
+  // vc), which must be routable.
+  const auto route_vc = [&](int idx) {
     const int port = idx / vcs;
     const int vc = idx % vcs;
     InputVc& ivc = rt.input(port, vc);
-    if (ivc.buf.empty()) continue;
+    assert(!ivc.buf.empty() && ivc.stage != IvcStage::Active);
     const Flit& front = ivc.buf.front();
-    if (!is_head(front.type) || ivc.stage == IvcStage::Active) continue;
-    --remaining;
-#ifndef NDEBUG
-    ++found;
-#endif
+    assert(is_head(front.type));
     ivc.stage = IvcStage::RouteWait;
     // SoA: the route stage reads/writes only the hot header array; the
     // cold accounting record is untouched until ejection.
@@ -1330,9 +1374,9 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
       ivc.out_dir = Direction::Local;
       ivc.out_vc = vc;
       ivc.stage = IvcStage::Active;
-      bump_route(id, -1);
-      bump_switch(id, +1);
-      continue;
+      unmark_ready(Ready::Route, id, static_cast<std::size_t>(idx));
+      mark_ready(Ready::Switch, id, static_cast<std::size_t>(idx));
+      return;
     }
     const routing::CandidateList& cand = route_candidates(t, id, m);
     bool allocated = false;
@@ -1432,8 +1476,8 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
       ivc.out_dir = chosen.dir;
       ivc.out_vc = chosen.vc;
       ivc.stage = IvcStage::Active;
-      bump_route(id, -1);
-      bump_switch(id, +1);
+      unmark_ready(Ready::Route, id, static_cast<std::size_t>(idx));
+      mark_ready(Ready::Switch, id, static_cast<std::size_t>(idx));
       if (trace_ != nullptr) {
         trace_alloc(c, front.msg, chosen.dir, chosen.vc);
       } else {
@@ -1443,12 +1487,43 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
       break;
     }
     if (trace_ != nullptr && !allocated) trace_block(front.msg, c);
+  };
+
+  if (!exhaustive) {
+    // Visit the routable bits from `offset` upward, then wrap to the bits
+    // below it: exactly the (k + offset) % nivc order of the exhaustive
+    // scan restricted to routable VCs.  Each word is snapshotted before it
+    // is walked; routing a VC clears at most its own bit and sets none.
+    const std::uint64_t* words = ready_words(Ready::Route, id);
+    const auto start = static_cast<std::size_t>(offset);
+    const std::size_t sw = start >> 6;
+    const std::uint64_t upper = ~std::uint64_t{0} << (start & 63u);
+    const auto walk = [&](std::size_t w, std::uint64_t word) {
+      for (; word != 0; word &= word - 1) {
+        route_vc(static_cast<int>((w << 6) +
+                                  static_cast<std::size_t>(
+                                      std::countr_zero(word))));
+      }
+    };
+    walk(sw, words[sw] & upper);
+    for (std::size_t w = sw + 1; w < vc_words_; ++w) walk(w, words[w]);
+    for (std::size_t w = 0; w < sw; ++w) walk(w, words[w]);
+    walk(sw, words[sw] & ~upper);
+    return;
   }
-#ifndef NDEBUG
-  if (exhaustive) {
-    assert(found == pending && "route_pending_ counter is not exact");
+  int found = 0;
+  for (int k = 0; k < nivc; ++k) {
+    const int idx = (k + offset) % nivc;
+    const InputVc& ivc = rt.input(idx / vcs, idx % vcs);
+    if (ivc.buf.empty()) continue;
+    if (!is_head(ivc.buf.front().type) || ivc.stage == IvcStage::Active) {
+      continue;
+    }
+    ++found;
+    route_vc(idx);
   }
-#endif
+  assert(found == pending && "route_pending_ counter is not exact");
+  (void)found;
 }
 
 void Network::phase_routing() {
@@ -1491,26 +1566,40 @@ void Network::switch_node(Tile& t, NodeId id) {
 
   // Collect requests in the fixed port-major order (the shuffle below
   // depends on the initial order, so both scan modes must build the same
-  // sequence); stop early once every sendable flit has been seen.
+  // sequence).  Active walks the sendable bits in ascending flat index
+  // (port * vcs + vc), which is that order; Full scans every VC.
   t.requests.clear();
-  int seen = 0;
-  for (int port = 0; port < kPortCount; ++port) {
-    if (!exhaustive && seen == sendable) break;
-    for (int vc = 0; vc < vcs; ++vc) {
-      if (!exhaustive && seen == sendable) break;
-      InputVc& ivc = rt.input(port, vc);
-      if (ivc.stage != IvcStage::Active || ivc.buf.empty()) continue;
-      ++seen;
-      if (ivc.out_dir != Direction::Local &&
-          rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0) {
-        continue;
-      }
-      t.requests.push_back({static_cast<std::int16_t>(port),
-                            static_cast<std::int16_t>(vc)});
+  const auto request = [&](int port, int vc) {
+    const InputVc& ivc = rt.input(port, vc);
+    if (ivc.out_dir != Direction::Local &&
+        rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0) {
+      return;
     }
+    t.requests.push_back({static_cast<std::int16_t>(port),
+                          static_cast<std::int16_t>(vc)});
+  };
+  if (!exhaustive) {
+    const std::uint64_t* words = ready_words(Ready::Switch, id);
+    for (std::size_t w = 0; w < vc_words_; ++w) {
+      for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+        const auto idx = static_cast<int>(
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
+        request(idx / vcs, idx % vcs);
+      }
+    }
+  } else {
+    int seen = 0;
+    for (int port = 0; port < kPortCount; ++port) {
+      for (int vc = 0; vc < vcs; ++vc) {
+        const InputVc& ivc = rt.input(port, vc);
+        if (ivc.stage != IvcStage::Active || ivc.buf.empty()) continue;
+        ++seen;
+        request(port, vc);
+      }
+    }
+    assert(seen == sendable && "switch_pending_ counter is not exact");
+    (void)seen;
   }
-  assert(!exhaustive ||
-         (seen == sendable && "switch_pending_ counter is not exact"));
   if (t.requests.empty()) return;
 
   // Random conflict resolution (paper): shuffle, then greedy matching
@@ -1598,16 +1687,18 @@ void Network::switch_node(Tile& t, NodeId id) {
            static_cast<std::int16_t>(req.vc)});
     }
 
+    const auto idx = static_cast<std::size_t>(req.port * vcs + req.vc);
     if (tail) {
       ivc.release();
-      bump_switch(id, -1);
+      unmark_ready(Ready::Switch, id, idx);
       if (!ivc.buf.empty()) {
         // The flit behind a tail is always the next worm's header.
         assert(is_head(ivc.buf.front().type));
-        bump_route(id, +1);
+        mark_ready(Ready::Route, id, idx);
       }
     } else if (ivc.buf.empty()) {
-      bump_switch(id, -1);  // worm still owns the VC but has nothing to send
+      // The worm still owns the VC but has nothing to send.
+      unmark_ready(Ready::Switch, id, idx);
     }
   }
 }

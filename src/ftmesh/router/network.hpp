@@ -14,14 +14,15 @@
 // resolution of all conflicts (per the paper).
 //
 // Scheduling: the per-cycle phases are occupancy-driven.  The network keeps
-// exact per-node counters of routable headers, sendable (switch-ready)
-// flits and pending injection work, plus the set of full link registers,
-// updated at every occupancy-changing point (arrival, injection, route
-// allocation, switch traversal, tail release, purge).  ScanMode::Active
-// iterates only nodes whose counter is non-zero; ScanMode::Full is the
-// exhaustive reference scan that additionally cross-checks the counters in
-// debug builds.  Both modes produce bit-identical results — see
-// docs/performance.md for the invariants and the determinism argument.
+// per-VC bitmaps of routable headers and sendable (switch-ready) flits,
+// exact per-node counts of both, pending injection work and the set of
+// full link registers, updated at every occupancy-changing point (arrival,
+// injection, route allocation, switch traversal, tail release, purge).
+// ScanMode::Active visits only nodes whose count is non-zero and, within a
+// node, only the set bits; ScanMode::Full is the exhaustive reference scan
+// that additionally cross-checks the counters in debug builds.  Both modes
+// produce bit-identical results — see docs/performance.md for the
+// invariants and the determinism argument.
 
 #include <bit>
 #include <cassert>
@@ -457,13 +458,16 @@ class Network {
 
   /// Runtime invariant audit; throws AuditError on the first violation.
   /// Level 1 checks the slot table (free-list uniqueness, generation /
-  /// live-id consistency, created == retired + live).  Level 2 additionally
-  /// recounts the whole network: flit conservation across input buffers and
-  /// link registers, per-link credit/occupancy accounting, output-VC
-  /// ownership by live slots, the exact per-node pending counters, and
-  /// active-set soundness (worklists ⊇ nodes with work).  Always compiled
-  /// (tests drive it directly); builds configured with -DFTMESH_AUDIT=1|2
-  /// also run it automatically at the end of every step().
+  /// live-id consistency, created == retired + live) and that each node's
+  /// ready-VC bitmap popcounts equal its pending counters.  Level 2
+  /// additionally recounts the whole network: flit conservation across
+  /// input buffers and link registers, per-link credit/occupancy
+  /// accounting, output-VC ownership by live slots, every ready-VC bit
+  /// against its input VC, the exact per-node pending counters, and
+  /// active-set exactness (mask bit set iff the node has work).  Always
+  /// compiled (tests drive it directly); builds configured with
+  /// -DFTMESH_AUDIT=1|2 also run it automatically at the end of every
+  /// step().
   void audit_invariants(int level) const;
 
  private:
@@ -722,27 +726,36 @@ class Network {
   /// mutations (purge, reconfiguration) instead of per-item bookkeeping.
   void rebuild_active_sets();
 
-  // Occupancy bookkeeping.  The counters are exact:
-  //   route_pending_[n]  = #input VCs at n with a header flit at the front
-  //                        and stage != Active (a routable header)
-  //   switch_pending_[n] = #input VCs at n with stage == Active and a
-  //                        non-empty buffer (a sendable flit; credits are
-  //                        checked at switching time)
-  //   inject_pending_[n] = source-queue length + busy injection supplies
-  // A node's bit in its tile's occupancy mask is set exactly while the
-  // counter is positive: bump_* sets it on the zero -> positive transition
-  // and clears it on positive -> zero.
-  void bump_route(topology::NodeId node, int delta);
-  void bump_switch(topology::NodeId node, int delta);
+  // Occupancy bookkeeping.  Per input VC (flat index port * vcs + vc):
+  //   routable bit = a header flit at the front and stage != Active
+  //   sendable bit = stage == Active and a non-empty buffer (credits are
+  //                  checked at switching time)
+  // and per node the exact counts of those bits, plus
+  //   inject_pending_[n] = source-queue length + busy injection supplies.
+  // A node's bit in its tile's occupancy mask is set exactly while its
+  // count is positive.  mark_ready / unmark_ready are the only writers of
+  // the VC bits, the route/switch counts and the route/switch tile masks,
+  // so the three cannot drift apart; bump_inject does the same for the
+  // injection count and mask on the zero <-> positive transitions.
+  enum class Ready : std::uint8_t { Route, Switch };
+  void mark_ready(Ready kind, topology::NodeId node, std::size_t ivc);
+  void unmark_ready(Ready kind, topology::NodeId node, std::size_t ivc);
   void bump_inject(topology::NodeId node, int delta);
+  /// First word of `node`'s routable/sendable VC bitmap.
+  [[nodiscard]] const std::uint64_t* ready_words(Ready kind,
+                                                 topology::NodeId node) const {
+    const auto& bits = kind == Ready::Route ? route_vcs_ : switch_vcs_;
+    return bits.data() + static_cast<std::size_t>(node) * vc_words_;
+  }
   /// Called exactly when a flit lands on an empty link register.  `t` is
   /// the sender's tile (== the caller's): the register is listed on the
   /// sender's tile only when the downstream node is also in it, otherwise
   /// the downstream tile discovers it through its boundary_in scan.
   void note_link_full(Tile& t, std::size_t link_idx);
-  /// Applies the occupancy effect of pushing `f` into `ivc` at `node`.
+  /// Applies the occupancy effect of pushing `f` into `ivc` (flat index
+  /// `ivc_idx`) at `node`.
   void note_buffer_push(topology::NodeId node, const InputVc& ivc,
-                        const Flit& f, bool was_empty);
+                        std::size_t ivc_idx, const Flit& f, bool was_empty);
 
   Router& router_mut(topology::Coord c) {
     return routers_[static_cast<std::size_t>(mesh_->id_of(c))];
@@ -814,12 +827,16 @@ class Network {
   std::uint64_t flits_moved_this_cycle_ = 0;
   sim::Watchdog watchdog_;
 
-  // Active-set state (maintained in both scan modes; see bump_* above).
-  // The pending counters stay global (indexed by node, each touched only
-  // by its owning tile mid-phase); the occupancy bitmaps live on the
-  // tiles, addressed through the node -> tile-local-index map.
-  std::vector<std::uint16_t> route_pending_;
-  std::vector<std::uint16_t> switch_pending_;
+  // Active-set state (maintained in both scan modes; see mark_ready
+  // above).  The per-VC bitmaps and pending counters stay global (indexed
+  // by node, each touched only by its owning tile mid-phase); the node
+  // occupancy bitmaps live on the tiles, addressed through the node ->
+  // tile-local-index map.
+  std::size_t vc_words_ = 1;  ///< 64-bit words per node per VC bitmap
+  std::vector<std::uint64_t> route_vcs_;   ///< [node][vc_words_] routable
+  std::vector<std::uint64_t> switch_vcs_;  ///< [node][vc_words_] sendable
+  std::vector<std::uint16_t> route_pending_;   ///< popcount of route_vcs_
+  std::vector<std::uint16_t> switch_pending_;  ///< popcount of switch_vcs_
   std::vector<std::uint32_t> inject_pending_;
   std::vector<std::uint32_t> link_vc_allocated_;  // per VC index, link ports
   std::uint64_t full_links_ = 0;  ///< exact count of full link registers

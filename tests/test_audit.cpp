@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "ftmesh/core/simulator.hpp"
 #include "ftmesh/fault/fault_model.hpp"
 #include "ftmesh/fault/fring.hpp"
 #include "ftmesh/router/network.hpp"
@@ -265,6 +266,39 @@ TEST(RuntimeAudit, SerialAllocatorUnderTilingKeepsEveryInvariant) {
 
 TEST(RuntimeAudit, AppendOnlyTableUnderTilingKeepsEveryInvariant) {
   run_audited_traffic("Fully-Adaptive", 0, /*recycle=*/false, /*tiles=*/4);
+}
+
+TEST(RuntimeAudit, TransientFaultRecoveryUnderTilingKeepsEveryInvariant) {
+  // Node and link faults strike and repair under load on the tile-parallel
+  // kernel: every purge rebuilds the per-VC ready bitmaps from router
+  // state, and the recount must then agree bit for bit with the
+  // incremental updates of the following cycles.
+  ftmesh::core::SimConfig cfg;
+  cfg.width = cfg.height = 8;
+  cfg.algorithm = "Duato-Nbc";
+  cfg.injection_rate = 0.01;
+  cfg.message_length = 16;
+  cfg.warmup_cycles = 200;
+  cfg.total_cycles = 1500;
+  cfg.seed = 3;
+  cfg.tiles = 4;
+  cfg.step_threads = 2;
+  cfg.fault_schedule =
+      "fail-link@300:3,3,E; fail@400:5,5; repair-link@700:3,3,E; "
+      "repair@900:5,5; random-link:count=2,rate=0.01,start=350,"
+      "repair_after=300";
+  ftmesh::core::Simulator sim(cfg);
+  ASSERT_EQ(sim.network().tile_count(), 4u);
+  for (std::uint64_t cycle = 0; cycle < cfg.total_cycles; ++cycle) {
+    sim.step();
+    ASSERT_NO_THROW(sim.network().audit_invariants(2)) << "cycle " << cycle;
+  }
+  ASSERT_NE(sim.injector(), nullptr);
+  const auto& log = sim.injector()->log();
+  EXPECT_GT(log.messages_flushed, 0u);
+  EXPECT_GT(log.retransmissions, 0u);
+  EXPECT_GT(log.link_failures, 0);
+  EXPECT_GT(log.node_repairs, 0);
 }
 
 }  // namespace

@@ -46,8 +46,14 @@ has, a warning is printed and recorded into the JSON itself (context.
 ftmesh_host_warnings) so archived artifacts distinguish noisy-host
 regressions from real ones.  Warnings never fail the run.
 
+A --pair gate over sharded benchmarks is a scaling claim, and a ratio
+measured with more step threads than CPUs says nothing about scaling: such
+a gate is refused (exit 2) when the recorded num_cpus is below the thread
+count of either side of the pair.
+
 Exit status: 0 = within budget, 1 = regression or missing benchmark,
-2 = bad invocation / unreadable input / non-release input.
+2 = bad invocation / unreadable input / non-release input / a sharded
+pair gate on a host with too few CPUs.
 """
 
 import argparse
@@ -142,6 +148,24 @@ def host_noise_warnings(doc):
                     f"has num_cpus {num_cpus}: sharded timings are "
                     "oversubscribed")
     return warnings
+
+
+def check_pair_threads(pairs, doc):
+    """Refuse a sharded --pair gate measured on a host with fewer CPUs
+    than the pair's step threads (oversubscribed, so not a scaling
+    measurement)."""
+    num_cpus = doc.get("context", {}).get("num_cpus")
+    if not num_cpus:
+        return
+    for a, b, _ in pairs:
+        threads = max(requested_threads(a) or 0, requested_threads(b) or 0)
+        if threads > num_cpus:
+            print(f"bench_compare: --pair {a}:{b} gates {threads} step "
+                  f"threads but the run recorded num_cpus {num_cpus}; an "
+                  "oversubscribed ratio is not a scaling measurement — "
+                  f"re-run on a host with at least {threads} CPUs",
+                  file=sys.stderr)
+            sys.exit(2)
 
 
 def annotate_host_warnings(path, doc, warnings):
@@ -261,6 +285,7 @@ def main():
     base, _, _ = load_runs(args.baseline, args.allow_non_release)
     cur, cur_counters, cur_doc = load_runs(args.current, args.allow_non_release)
 
+    check_pair_threads(pairs, cur_doc)
     noise = host_noise_warnings(cur_doc)
     for w in noise:
         print(f"bench_compare: WARNING: {w}", file=sys.stderr)
