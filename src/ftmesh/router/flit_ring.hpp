@@ -1,13 +1,12 @@
 #pragma once
-// Fixed-capacity ring buffer of flits: the input-VC FIFO.
+// Fixed-capacity FIFO of flits over external storage: the input-VC buffer.
 //
-// Input VCs are bounded by the configured buffer depth (credits enforce it),
-// so the std::deque previously used — which allocates a chunk map per
-// instance and scatters flits across the heap — is replaced by a ring whose
-// slots live inline for the common shallow depths and in one flat heap
-// array otherwise.  A 10x10/24-VC network has 12,000 input VCs; keeping
-// them allocation-free and contiguous is a measurable share of the cycle
-// kernel (see docs/performance.md).
+// The network keeps every input VC's flit slots in one flat array
+// (`buffer_depth` consecutive slots per VC) and each VC's head/count cursor
+// in its 8-byte InputVc record, so the buffers are two dense arrays that
+// need no per-VC allocation.  FlitRing binds one cursor to its slots for
+// the duration of an operation; it owns nothing (see docs/performance.md,
+// "Flat VC state and credit-gated requests").
 //
 // Buffered flits reference their message by *slot* (Flit::msg): a slot is
 // recycled only after the tail flit has left every ring in the network
@@ -15,80 +14,87 @@
 // to the live message occupying that slot.
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <type_traits>
 
 #include "ftmesh/router/flit.hpp"
 
 namespace ftmesh::router {
 
-class FlitRing {
+/// Ring position of one buffer: index of the front slot and occupancy.
+struct RingCursor {
+  std::uint16_t head = 0;
+  std::uint16_t count = 0;
+};
+
+/// A view of one ring: `cap` slots starting at `slots`, addressed through
+/// `cur`.  BasicFlitRing<true> mutates; BasicFlitRing<false> only reads.
+template <bool kMutable>
+class BasicFlitRing {
+  using Cursor = std::conditional_t<kMutable, RingCursor, const RingCursor>;
+  using Slot = std::conditional_t<kMutable, Flit, const Flit>;
+
  public:
-  /// Depths up to this many flits need no heap allocation.
-  static constexpr int kInlineCapacity = 4;
-
-  FlitRing() = default;
-
-  /// Sets the fixed capacity and empties the ring.  Called once per input
-  /// VC at router construction (capacity == buffer depth).
-  void reset_capacity(int capacity) {
-    assert(capacity >= 1);
-    cap_ = static_cast<std::uint16_t>(capacity);
-    head_ = 0;
-    count_ = 0;
-    heap_ = capacity > kInlineCapacity
-                ? std::make_unique<Flit[]>(static_cast<std::size_t>(capacity))
-                : nullptr;
+  BasicFlitRing(Cursor& cur, Slot* slots, std::uint16_t cap) noexcept
+      : cur_(&cur), slots_(slots), cap_(cap) {
+    assert(cap >= 1);
   }
 
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return cur_->count == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return cur_->count; }
   [[nodiscard]] int capacity() const noexcept { return cap_; }
 
   [[nodiscard]] const Flit& front() const noexcept {
-    assert(count_ > 0);
-    return slots()[head_];
-  }
-
-  void push_back(const Flit& f) noexcept {
-    assert(count_ < cap_ && "input VC over capacity: credit protocol violated");
-    slots()[wrap(head_ + count_)] = f;
-    ++count_;
-  }
-
-  void pop_front() noexcept {
-    assert(count_ > 0);
-    head_ = wrap(head_ + 1);
-    --count_;
+    assert(cur_->count > 0);
+    return slots_[cur_->head];
   }
 
   /// i-th flit from the front (0 == front()).
   [[nodiscard]] const Flit& operator[](std::size_t i) const noexcept {
-    assert(i < count_);
-    return slots()[wrap(head_ + static_cast<std::uint16_t>(i))];
+    assert(i < cur_->count);
+    return slots_[wrap(cur_->head + static_cast<std::uint32_t>(i))];
+  }
+
+  void push_back(const Flit& f) const noexcept
+    requires kMutable
+  {
+    assert(cur_->count < cap_ &&
+           "input VC over capacity: credit protocol violated");
+    slots_[wrap(std::uint32_t{cur_->head} + cur_->count)] = f;
+    ++cur_->count;
+  }
+
+  void pop_front() const noexcept
+    requires kMutable
+  {
+    assert(cur_->count > 0);
+    cur_->head = wrap(std::uint32_t{cur_->head} + 1);
+    --cur_->count;
   }
 
   /// Removes every flit matching `pred`, preserving the order of survivors.
   /// Returns the number removed.  Used only by the (rare) fault-recovery
   /// purge, so a simple in-place compaction is fine.
   template <typename Pred>
-  std::size_t remove_if(Pred pred) {
-    Flit* s = slots();
-    std::uint16_t kept = 0;
-    for (std::uint16_t i = 0; i < count_; ++i) {
-      const Flit& f = s[wrap(head_ + i)];
+  std::size_t remove_if(Pred pred) const
+    requires kMutable
+  {
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < cur_->count; ++i) {
+      const Flit f = slots_[wrap(cur_->head + i)];
       if (pred(f)) continue;
-      s[wrap(head_ + kept)] = f;
+      slots_[wrap(cur_->head + kept)] = f;
       ++kept;
     }
-    const std::size_t removed = count_ - kept;
-    count_ = kept;
+    const std::size_t removed = cur_->count - kept;
+    cur_->count = static_cast<std::uint16_t>(kept);
     return removed;
   }
 
   class const_iterator {
    public:
-    const_iterator(const FlitRing* ring, std::size_t i) noexcept
+    const_iterator(const BasicFlitRing* ring, std::size_t i) noexcept
         : ring_(ring), i_(i) {}
     const Flit& operator*() const noexcept { return (*ring_)[i_]; }
     const Flit* operator->() const noexcept { return &(*ring_)[i_]; }
@@ -102,29 +108,27 @@ class FlitRing {
     }
 
    private:
-    const FlitRing* ring_;
+    const BasicFlitRing* ring_;
     std::size_t i_;
   };
 
   [[nodiscard]] const_iterator begin() const noexcept { return {this, 0}; }
-  [[nodiscard]] const_iterator end() const noexcept { return {this, count_}; }
+  [[nodiscard]] const_iterator end() const noexcept {
+    return {this, cur_->count};
+  }
 
  private:
-  [[nodiscard]] std::uint16_t wrap(std::uint16_t i) const noexcept {
-    return i >= cap_ ? static_cast<std::uint16_t>(i - cap_) : i;
-  }
-  [[nodiscard]] Flit* slots() noexcept {
-    return heap_ ? heap_.get() : inline_;
-  }
-  [[nodiscard]] const Flit* slots() const noexcept {
-    return heap_ ? heap_.get() : inline_;
+  /// Maps a logical position in [0, 2 * cap) onto a slot index.
+  [[nodiscard]] std::uint16_t wrap(std::uint32_t i) const noexcept {
+    return static_cast<std::uint16_t>(i >= cap_ ? i - cap_ : i);
   }
 
-  Flit inline_[kInlineCapacity] = {};
-  std::unique_ptr<Flit[]> heap_;  ///< only for depth > kInlineCapacity
-  std::uint16_t cap_ = 0;
-  std::uint16_t head_ = 0;
-  std::uint16_t count_ = 0;
+  Cursor* cur_;
+  Slot* slots_;
+  std::uint16_t cap_;
 };
+
+using FlitRing = BasicFlitRing<true>;
+using ConstFlitRing = BasicFlitRing<false>;
 
 }  // namespace ftmesh::router

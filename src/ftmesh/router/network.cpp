@@ -58,9 +58,32 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   if (config_.injection_vcs < 1 || config_.injection_vcs > vcs) {
     throw std::invalid_argument("injection_vcs out of range");
   }
-  routers_.reserve(n);
+  if (config_.buffer_depth < 1 || config_.buffer_depth > 0xffff) {
+    throw std::invalid_argument("buffer_depth out of range");
+  }
+  // Node-local VC indices (port * vcs + vc) are stored in 16 bits.
+  if (kPortCount * vcs > 0xffff) {
+    throw std::invalid_argument("too many VCs per port");
+  }
+  vcs_ = vcs;
+  node_vcs_ = static_cast<std::size_t>(kPortCount * vcs);
+  depth_ = static_cast<std::uint16_t>(config_.buffer_depth);
+  const std::size_t total_vcs = n * node_vcs_;
+  ivcs_.assign(total_vcs, InputVc{});
+  OutputVc free_out;
+  free_out.credits = depth_;
+  ovcs_.assign(total_vcs, free_out);
+  flits_.reset(static_cast<Flit*>(
+      ::operator new(total_vcs * depth_ * sizeof(Flit))));
+  neighbour_.assign(n * kMeshDirections, -1);
   for (NodeId id = 0; id < mesh.node_count(); ++id) {
-    routers_.emplace_back(mesh.coord_of(id), vcs, config_.buffer_depth);
+    for (int d = 0; d < kMeshDirections; ++d) {
+      const auto nb = mesh.neighbour(mesh.coord_of(id), static_cast<Direction>(d));
+      if (nb) {
+        neighbour_[static_cast<std::size_t>(id) * kMeshDirections +
+                   static_cast<std::size_t>(d)] = mesh.id_of(*nb);
+      }
+    }
   }
   links_.resize(n * kMeshDirections);
   queues_.resize(n);
@@ -70,6 +93,8 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   vc_words_ = mask_words(static_cast<std::size_t>(kPortCount * vcs));
   route_vcs_.assign(n * vc_words_, 0);
   switch_vcs_.assign(n * vc_words_, 0);
+  blocked_vcs_.assign(n * vc_words_, 0);
+  reserved_vcs_.assign(n * vc_words_, 0);
   route_pending_.assign(n, 0);
   switch_pending_.assign(n, 0);
   inject_pending_.assign(n, 0);
@@ -129,6 +154,15 @@ void Network::setup_tiles() {
     tiles_[tile].nodes.push_back(id);
   }
   for (Tile& t : tiles_) {
+    // Nodes were appended in ascending id (row-major) order, so the first
+    // and last are the rectangle's corners.
+    const Coord lo = mesh_->coord_of(t.nodes.front());
+    const Coord hi = mesh_->coord_of(t.nodes.back());
+    t.columns = hi.x - lo.x + 1;
+    t.rows = hi.y - lo.y + 1;
+    assert(static_cast<std::size_t>(t.columns) *
+               static_cast<std::size_t>(t.rows) ==
+           t.nodes.size());
     if (config_.route_cache) t.route_cache.resize(kRouteCacheSize);
     t.d.vc_alloc.assign(static_cast<std::size_t>(vcs), 0);
     const std::size_t words = mask_words(t.nodes.size());
@@ -143,15 +177,15 @@ void Network::setup_tiles() {
   link_pos_.assign(n * kMeshDirections, 0);
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     Tile& t = tiles_[tile_of_node_[static_cast<std::size_t>(id)]];
-    const Coord c = mesh_->coord_of(id);
     for (int d = 0; d < kMeshDirections; ++d) {
-      const auto dir = static_cast<Direction>(d);
-      const auto nb = mesh_->neighbour(c, dir);
-      if (!nb) continue;
-      const NodeId up = mesh_->id_of(*nb);
+      const NodeId up = neighbour_[static_cast<std::size_t>(id) *
+                                       kMeshDirections +
+                                   static_cast<std::size_t>(d)];
+      if (up < 0) continue;
       const auto idx =
           static_cast<std::size_t>(up) * kMeshDirections +
-          static_cast<std::size_t>(port_index(opposite(dir)));
+          static_cast<std::size_t>(
+              port_index(opposite(static_cast<Direction>(d))));
       link_pos_[idx] = static_cast<std::uint32_t>(t.incoming_all.size());
       t.incoming_all.push_back(idx);
       if (tile_of_node_[static_cast<std::size_t>(up)] !=
@@ -219,6 +253,26 @@ void Network::bump_inject(NodeId node, int delta) {
   }
 }
 
+void Network::reserve_output(NodeId node, std::size_t out, std::size_t in,
+                             MessageSlot owner) {
+  const auto sid = static_cast<std::size_t>(node);
+  const std::size_t g = sid * node_vcs_ + out;
+  OutputVc& ovc = ovcs_[g];
+  assert(!ovc.allocated() && owner != kInvalidMessage);
+  ovc.owner = owner;
+  ovc.holder = static_cast<std::uint16_t>(in);
+  set_bit(reserved_vcs_, sid * vc_words_ * 64 + out);
+  if (ovc.credits == 0) set_bit(blocked_vcs_, sid * vc_words_ * 64 + in);
+}
+
+void Network::release_output(NodeId node, std::size_t out) {
+  const auto sid = static_cast<std::size_t>(node);
+  OutputVc& ovc = ovcs_[sid * node_vcs_ + out];
+  assert(ovc.allocated());
+  ovc.owner = kInvalidMessage;
+  clear_bit(reserved_vcs_, sid * vc_words_ * 64 + out);
+}
+
 void Network::note_link_full(Tile& t, std::size_t link_idx) {
   ++t.d.full_links;
   // Only intra-tile registers set a mask bit: the sender may not touch
@@ -247,7 +301,6 @@ void Network::note_buffer_push(NodeId node, const InputVc& ivc,
 }
 
 void Network::rebuild_active_sets() {
-  const int vcs = algorithm_->layout().total();
   for (Tile& t : tiles_) {
     std::fill(t.route_mask.begin(), t.route_mask.end(), 0);
     std::fill(t.switch_mask.begin(), t.switch_mask.end(), 0);
@@ -262,37 +315,43 @@ void Network::rebuild_active_sets() {
   std::fill(link_vc_allocated_.begin(), link_vc_allocated_.end(), 0);
   std::fill(route_vcs_.begin(), route_vcs_.end(), 0);
   std::fill(switch_vcs_.begin(), switch_vcs_.end(), 0);
+  std::fill(blocked_vcs_.begin(), blocked_vcs_.end(), 0);
+  std::fill(reserved_vcs_.begin(), reserved_vcs_.end(), 0);
   queued_messages_ = 0;
   busy_supplies_ = 0;
   std::uint64_t flits = 0;
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const auto sid = static_cast<std::size_t>(id);
     Tile& t = tiles_[tile_of_node_[sid]];
-    const Router& rt = routers_[sid];
+    const std::size_t base = sid * node_vcs_;
+    // Node n's bits start at bit n * vc_words_ * 64 of the vectors.
+    const std::size_t bit0 = sid * vc_words_ * 64;
     std::uint16_t routable = 0;
     std::uint16_t sendable = 0;
-    for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
-        const InputVc& ivc = rt.input(port, vc);
-        flits += ivc.buf.size();
-        if (ivc.buf.empty()) continue;
-        // Node n's bits start at bit n * vc_words_ * 64 of the vectors.
-        const std::size_t bit = sid * vc_words_ * 64 +
-                                static_cast<std::size_t>(port * vcs + vc);
-        if (ivc.stage == IvcStage::Active) {
-          set_bit(switch_vcs_, bit);
-          ++sendable;
-        } else if (is_head(ivc.buf.front().type)) {
-          set_bit(route_vcs_, bit);
-          ++routable;
+    for (std::size_t k = 0; k < node_vcs_; ++k) {
+      const InputVc& ivc = ivcs_[base + k];
+      if (ivc.stage == IvcStage::Active &&
+          ivc.out_dir != Direction::Local) {
+        const std::size_t out = static_cast<std::size_t>(
+            port_index(ivc.out_dir) * vcs_ + ivc.out_vc);
+        ovcs_[base + out].holder = static_cast<std::uint16_t>(k);
+        if (ovcs_[base + out].credits == 0) set_bit(blocked_vcs_, bit0 + k);
+      }
+      if (ovcs_[base + k].allocated()) {
+        set_bit(reserved_vcs_, bit0 + k);
+        if (k < static_cast<std::size_t>(kMeshDirections * vcs_)) {
+          ++link_vc_allocated_[k % static_cast<std::size_t>(vcs_)];
         }
       }
-    }
-    for (int port = 0; port < kMeshDirections; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
-        if (rt.output(port, vc).allocated) {
-          ++link_vc_allocated_[static_cast<std::size_t>(vc)];
-        }
+      const FlitRing buf = ring(base + k);
+      flits += buf.size();
+      if (buf.empty()) continue;
+      if (ivc.stage == IvcStage::Active) {
+        set_bit(switch_vcs_, bit0 + k);
+        ++sendable;
+      } else if (is_head(buf.front().type)) {
+        set_bit(route_vcs_, bit0 + k);
+        ++routable;
       }
     }
     route_pending_[sid] = routable;
@@ -734,12 +793,35 @@ void Network::for_each_tile(Fn&& fn) {
 const std::vector<NodeId>& Network::merged_mask_nodes(
     std::vector<std::uint64_t> Tile::* mask) {
   merged_nodes_.clear();
-  for (Tile& t : tiles_) {
-    walk_mask(t, t.*mask, [&](NodeId id) { merged_nodes_.push_back(id); });
+  // Tiles are rectangles, so one tile's ascending local order is not
+  // globally ascending.  Mesh row y crosses the tiles of its tile-grid row
+  // left to right, and each crossing is the contiguous local range
+  // [r * columns, (r + 1) * columns) of that tile (r = y - the tile's first
+  // row): walking rows, then tiles, then the range's set bits emits
+  // ascending node ids.
+  const auto tx = static_cast<std::size_t>(tile_grid_x_);
+  for (std::size_t first = 0; first < tiles_.size(); first += tx) {
+    for (int r = 0; r < tiles_[first].rows; ++r) {
+      for (std::size_t i = first; i < first + tx; ++i) {
+        const Tile& t = tiles_[i];
+        const std::vector<std::uint64_t>& bits = t.*mask;
+        const auto begin = static_cast<std::size_t>(r * t.columns);
+        const std::size_t end = begin + static_cast<std::size_t>(t.columns);
+        for (std::size_t w = begin >> 6; w << 6 < end; ++w) {
+          std::uint64_t word = bits[w];
+          if (w == begin >> 6) word &= ~std::uint64_t{0} << (begin & 63u);
+          if ((w + 1) << 6 > end) {
+            word &= ~(~std::uint64_t{0} << (end & 63u));
+          }
+          for (; word != 0; word &= word - 1) {
+            merged_nodes_.push_back(
+                t.nodes[(w << 6) +
+                        static_cast<std::size_t>(std::countr_zero(word))]);
+          }
+        }
+      }
+    }
   }
-  // Tiles are rectangles, so per-tile ascending local order is not globally
-  // ascending; the ordered driver needs ascending node ids.
-  std::sort(merged_nodes_.begin(), merged_nodes_.end());
   return merged_nodes_;
 }
 
@@ -773,9 +855,12 @@ void Network::reduce_deltas() {
       link_vc_allocated_[v] = static_cast<std::uint32_t>(
           static_cast<std::int64_t>(link_vc_allocated_[v]) + d.vc_alloc[v]);
     }
-    const std::size_t vcs = d.vc_alloc.size();
+    // Zero in place: the per-VC vector moves out and back, so no cycle
+    // frees or reallocates it.
+    std::vector<std::int32_t> vc_alloc = std::move(d.vc_alloc);
+    std::fill(vc_alloc.begin(), vc_alloc.end(), 0);
     d = PhaseDeltas{};
-    d.vc_alloc.assign(vcs, 0);
+    d.vc_alloc = std::move(vc_alloc);
   }
 }
 
@@ -802,12 +887,22 @@ void Network::commit_deferred() {
   // Credit returns: increments commute, so per-tile order is fine.  Every
   // credit lands here — even a same-tile one — which is what makes a freed
   // buffer slot visible uniformly on the next cycle instead of depending
-  // on the switch phase's node visit order.
+  // on the switch phase's node visit order.  A 0 -> 1 return on a reserved
+  // output unblocks the worm holding it; this loop is serial, so clearing
+  // a bit of another tile's node is safe.
   for (Tile& t : tiles_) {
     for (const CreditReturn& cr : t.credits) {
-      routers_[static_cast<std::size_t>(cr.node)]
-          .output(cr.port, cr.vc)
-          .credits++;
+      const auto node = static_cast<std::size_t>(cr.node);
+      OutputVc& ovc = ovcs_[node * node_vcs_ + cr.out];
+      // Branch-free: whether a return unblocks is data-dependent, and a
+      // free output's stale holder still names a bit of this node, which
+      // the mask then leaves alone.
+      const bool unblock = (ovc.credits == 0) & ovc.allocated();
+      ++ovc.credits;
+      const std::size_t bit = node * vc_words_ * 64 + ovc.holder;
+      assert((!unblock || test_bit(blocked_vcs_, bit)) &&
+             "credit-starved worm not blocked");
+      blocked_vcs_[bit >> 6] &= ~(std::uint64_t{unblock} << (bit & 63u));
     }
     t.credits.clear();
   }
@@ -918,11 +1013,24 @@ void Network::audit_invariants(int level) const {
     }
   }
 
-  // Per-VC ready bitmaps: each node's popcount is its pending counter
-  // (level 2 below checks every bit against the router state).
-  if (route_vcs_.size() != routers_.size() * vc_words_ ||
-      switch_vcs_.size() != routers_.size() * vc_words_) {
-    fail("per-VC ready bitmaps sized for a different mesh or VC count");
+  // Per-VC bitmaps: each node's ready popcounts are its pending counters,
+  // and the reserved bits over link ports total the per-VC allocation
+  // gauge (level 2 below checks every bit against the VC records).
+  const auto nodes = static_cast<std::size_t>(mesh_->node_count());
+  if (route_vcs_.size() != nodes * vc_words_ ||
+      switch_vcs_.size() != nodes * vc_words_ ||
+      blocked_vcs_.size() != nodes * vc_words_ ||
+      reserved_vcs_.size() != nodes * vc_words_) {
+    fail("per-VC bitmaps sized for a different mesh or VC count");
+  }
+  std::uint64_t reserved_bits = 0;
+  for (const std::uint64_t word : reserved_vcs_) {
+    reserved_bits += static_cast<std::uint64_t>(std::popcount(word));
+  }
+  std::uint64_t allocated_links = 0;
+  for (const std::uint32_t n : link_vc_allocated_) allocated_links += n;
+  if (reserved_bits != allocated_links) {
+    fail("reserved-VC bitmap popcount != link VC allocation gauge");
   }
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     int routable = 0;
@@ -963,49 +1071,61 @@ void Network::audit_invariants(int level) const {
   }
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const auto sid = static_cast<std::size_t>(id);
-    const Router& rt = routers_[sid];
+    const std::size_t base = sid * node_vcs_;
     std::uint32_t routable = 0;
     std::uint32_t sendable = 0;
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs; ++vc) {
-        const InputVc& ivc = rt.input(port, vc);
-        flits += ivc.buf.size();
+        const auto k = static_cast<std::size_t>(port * vcs + vc);
+        const InputVc& ivc = ivcs_[base + k];
+        const ConstFlitRing buf = ring(base + k);
+        flits += buf.size();
         if (port != local &&
-            ivc.buf.size() > static_cast<std::size_t>(config_.buffer_depth)) {
+            buf.size() > static_cast<std::size_t>(config_.buffer_depth)) {
           fail("input VC buffer deeper than the credit budget");
         }
-        const bool is_sendable =
-            !ivc.buf.empty() && ivc.stage == IvcStage::Active;
-        const bool is_routable = !ivc.buf.empty() &&
+        const bool is_sendable = !buf.empty() && ivc.stage == IvcStage::Active;
+        const bool is_routable = !buf.empty() &&
                                  ivc.stage != IvcStage::Active &&
-                                 is_head(ivc.buf.front().type);
-        if (!ivc.buf.empty() && !is_sendable && !is_routable) {
+                                 is_head(buf.front().type);
+        if (!buf.empty() && !is_sendable && !is_routable) {
           fail("non-Active input VC fronted by a body flit");
         }
         if (is_sendable) ++sendable;
         if (is_routable) ++routable;
         // Node n's bits start at bit n * vc_words_ * 64 of the vectors.
-        const std::size_t bit = sid * vc_words_ * 64 +
-                                static_cast<std::size_t>(port * vcs + vc);
+        const std::size_t bit = sid * vc_words_ * 64 + k;
         if (test_bit(switch_vcs_, bit) != is_sendable) {
           fail("sendable-VC bit disagrees with the input VC's state");
         }
         if (test_bit(route_vcs_, bit) != is_routable) {
           fail("routable-VC bit disagrees with the input VC's state");
         }
+        if (test_bit(reserved_vcs_, bit) != ovcs_[base + k].allocated()) {
+          fail("reserved-VC bit disagrees with the output VC's owner");
+        }
+        bool is_blocked = false;
         if (ivc.stage == IvcStage::Active &&
             ivc.out_dir != Direction::Local) {
           if (ivc.out_vc < 0 || ivc.out_vc >= vcs) {
             fail("Active input VC with an out-of-range output VC");
           }
-          const OutputVc& ovc =
-              rt.output(topology::port_index(ivc.out_dir), ivc.out_vc);
-          if (!ovc.allocated) {
+          const std::size_t out = static_cast<std::size_t>(
+              topology::port_index(ivc.out_dir) * vcs + ivc.out_vc);
+          const OutputVc& ovc = ovcs_[base + out];
+          if (!ovc.allocated()) {
             fail("Active input VC whose output VC is not reserved");
           }
-          if (!ivc.buf.empty() && ivc.buf.front().msg != ovc.owner) {
+          if (!buf.empty() && buf.front().msg != ovc.owner) {
             fail("flits of one worm on an output VC owned by another");
           }
+          if (ovc.holder != k) {
+            fail("output VC's holder does not name its Active input VC");
+          }
+          is_blocked = ovc.credits == 0;
+        }
+        if (test_bit(blocked_vcs_, bit) != is_blocked) {
+          fail("blocked-VC bit disagrees with the output VC's credits");
         }
       }
     }
@@ -1031,30 +1151,29 @@ void Network::audit_invariants(int level) const {
     if (sendable > 0) ++active_switch_recount[tile_of_node_[sid]];
 
     for (int d = 0; d < kMeshDirections; ++d) {
-      const auto nb = mesh_->neighbour(mesh_->coord_of(id),
-                                       static_cast<Direction>(d));
+      const NodeId nb = neighbour_[sid * kMeshDirections +
+                                   static_cast<std::size_t>(d)];
       for (int vc = 0; vc < vcs; ++vc) {
-        const OutputVc& ovc = rt.output(d, vc);
-        if (ovc.allocated) {
+        const OutputVc& ovc = ovcs_[vc_index(id, d, vc)];
+        if (ovc.allocated()) {
           ++alloc_recount[static_cast<std::size_t>(vc)];
           if (ovc.owner >= messages_.size() ||
               messages_[ovc.owner].id == kInvalidMessage) {
             fail("reserved output VC owned by a vacant message slot");
           }
         }
-        if (!nb) continue;
+        if (nb < 0) continue;
         // Credit conservation: credits + downstream occupancy + the flit in
         // flight on the link register reconstruct the buffer depth exactly.
         const auto& reg = links_[sid * kMeshDirections +
                                  static_cast<std::size_t>(d)];
         const int in_flight = (reg.full && reg.vc == vc) ? 1 : 0;
-        const auto& down = routers_[static_cast<std::size_t>(mesh_->id_of(*nb))];
-        const auto& dbuf =
-            down.input(topology::port_index(
-                           topology::opposite(static_cast<Direction>(d))),
-                       vc)
-                .buf;
-        if (ovc.credits + static_cast<int>(dbuf.size()) + in_flight !=
+        const ConstFlitRing dbuf = ring(vc_index(
+            nb, topology::port_index(
+                    topology::opposite(static_cast<Direction>(d))),
+            vc));
+        if (static_cast<int>(ovc.credits) + static_cast<int>(dbuf.size()) +
+                in_flight !=
             config_.buffer_depth) {
           fail("credit accounting drifted on a link output VC");
         }
@@ -1137,25 +1256,21 @@ void Network::audit_invariants(int level) const {
 void Network::arrive_link(Tile& t, std::size_t link_idx) {
   LinkReg& reg = links_[link_idx];
   assert(reg.full);
-  const auto id = static_cast<NodeId>(link_idx / kMeshDirections);
-  const int d = static_cast<int>(link_idx % kMeshDirections);
-  const Coord c = mesh_->coord_of(id);
-  const auto dir = static_cast<Direction>(d);
-  const auto nb = mesh_->neighbour(c, dir);
-  assert(nb && "flit sent off-mesh");
-  const NodeId down_id = mesh_->id_of(*nb);
+  const NodeId down_id = neighbour_[link_idx];
+  assert(down_id >= 0 && "flit sent off-mesh");
   assert(tile_of_node_[static_cast<std::size_t>(down_id)] ==
              static_cast<std::uint32_t>(&t - tiles_.data()) &&
          "arrival processed by a tile that does not own the consumer");
-  Router& down = routers_[static_cast<std::size_t>(down_id)];
+  const auto dir = static_cast<Direction>(link_idx % kMeshDirections);
   const int in_port = port_index(opposite(dir));
-  InputVc& ivc = down.input(in_port, reg.vc);
-  assert(static_cast<int>(ivc.buf.size()) < config_.buffer_depth &&
+  const std::size_t g = vc_index(down_id, in_port, reg.vc);
+  const FlitRing buf = ring(g);
+  assert(static_cast<int>(buf.size()) < config_.buffer_depth &&
          "credit protocol violated");
-  const bool was_empty = ivc.buf.empty();
-  ivc.buf.push_back(reg.flit);
-  note_buffer_push(down_id, ivc,
-                   static_cast<std::size_t>(in_port * down.vcs() + reg.vc),
+  const bool was_empty = buf.empty();
+  buf.push_back(reg.flit);
+  note_buffer_push(down_id, ivcs_[g],
+                   static_cast<std::size_t>(in_port * vcs_ + reg.vc),
                    reg.flit, was_empty);
   reg.full = false;
   --t.d.full_links;
@@ -1210,7 +1325,6 @@ void Network::inject_node(Tile& t, NodeId id) {
   const Coord c = mesh_->coord_of(id);
   if (!faults_->active(c)) return;
   const auto local = port_index(Direction::Local);
-  Router& rt = router_mut(c);
   auto& queue = queues_[static_cast<std::size_t>(id)];
   for (int iv = 0; iv < config_.injection_vcs; ++iv) {
     Supply& sup = supply(id, iv);
@@ -1222,8 +1336,9 @@ void Network::inject_node(Tile& t, NodeId id) {
       --t.d.queued_messages;
       ++t.d.busy_supplies;  // inject_pending_ is unchanged: queue -1, busy +1
     }
-    InputVc& ivc = rt.input(local, iv);
-    if (static_cast<int>(ivc.buf.size()) >= config_.buffer_depth) continue;
+    const std::size_t g = vc_index(id, local, iv);
+    const FlitRing buf = ring(g);
+    if (static_cast<int>(buf.size()) >= config_.buffer_depth) continue;
     Message& m = messages_[sup.current];
     Flit flit;
     flit.msg = sup.current;
@@ -1241,10 +1356,10 @@ void Network::inject_node(Tile& t, NodeId id) {
       m.injected = cycle_;
       if (trace_ != nullptr) emit(trace::EventKind::Inject, m.id, c);
     }
-    const bool was_empty = ivc.buf.empty();
-    ivc.buf.push_back(flit);
+    const bool was_empty = buf.empty();
+    buf.push_back(flit);
     ++t.d.buffered_flits;
-    note_buffer_push(id, ivc, static_cast<std::size_t>(local * rt.vcs() + iv),
+    note_buffer_push(id, ivcs_[g], static_cast<std::size_t>(local * vcs_ + iv),
                      flit, was_empty);
     ++sup.next_seq;
     if (sup.next_seq == m.length) {
@@ -1343,10 +1458,23 @@ const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
 void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
   const int pending = route_pending_[static_cast<std::size_t>(id)];
   if (!exhaustive && pending == 0) return;
-  const int vcs = algorithm_->layout().total();
+  const int vcs = vcs_;
   const int nivc = kPortCount * vcs;
   const Coord c = mesh_->coord_of(id);
-  Router& rt = routers_[static_cast<std::size_t>(id)];
+  const std::size_t base = static_cast<std::size_t>(id) * node_vcs_;
+  // Output-VC occupancy comes from the node's reserved bits, not from the
+  // OutputVc records: one word covers 64 candidate channels.
+  const std::uint64_t* reserved =
+      reserved_vcs_.data() + static_cast<std::size_t>(id) * vc_words_;
+  const auto busy = [&](Direction dir, int vc) -> bool {
+    const auto out = static_cast<std::size_t>(port_index(dir) * vcs + vc);
+    return (reserved[out >> 6] >> (out & 63u)) & 1u;
+  };
+  const auto credits = [&](const routing::CandidateVc& cv) -> int {
+    return ovcs_[base + static_cast<std::size_t>(port_index(cv.dir) * vcs +
+                                                 cv.vc)]
+        .credits;
+  };
   // Random rotation keeps allocation fair without a full shuffle.  The
   // offset — like every other draw below — is a counter-based hash, a pure
   // function of (seed, cycle, node): skipping idle routers, retiling the
@@ -1360,11 +1488,11 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
   // Routes the header at the front of input VC `idx` (flat port * vcs +
   // vc), which must be routable.
   const auto route_vc = [&](int idx) {
-    const int port = idx / vcs;
     const int vc = idx % vcs;
-    InputVc& ivc = rt.input(port, vc);
-    assert(!ivc.buf.empty() && ivc.stage != IvcStage::Active);
-    const Flit& front = ivc.buf.front();
+    InputVc& ivc = ivcs_[base + static_cast<std::size_t>(idx)];
+    const FlitRing buf = ring(base + static_cast<std::size_t>(idx));
+    assert(!buf.empty() && ivc.stage != IvcStage::Active);
+    const Flit& front = buf.front();
     assert(is_head(front.type));
     ivc.stage = IvcStage::RouteWait;
     // SoA: the route stage reads/writes only the hot header array; the
@@ -1372,7 +1500,7 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
     HeaderState& m = headers_[front.msg];
     if (c == m.dst) {
       ivc.out_dir = Direction::Local;
-      ivc.out_vc = vc;
+      ivc.out_vc = static_cast<std::int16_t>(vc);
       ivc.stage = IvcStage::Active;
       unmark_ready(Ready::Route, id, static_cast<std::size_t>(idx));
       mark_ready(Ready::Switch, id, static_cast<std::size_t>(idx));
@@ -1403,9 +1531,7 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
         assert(mesh_->neighbour(c, static_cast<Direction>(dirs[i]))
                    .has_value());
         score.busy[i] = static_cast<std::uint8_t>(
-            rt.output(port_index(static_cast<Direction>(dirs[i])),
-                      static_cast<int>(cvcs[i]))
-                .allocated);
+            busy(static_cast<Direction>(dirs[i]), static_cast<int>(cvcs[i])));
       }
       routing::pad_busy(score, ncand);
       free_mask = routing::free_mask_from_busy(score, ncand);
@@ -1418,8 +1544,8 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
             static_cast<std::uint64_t>(std::popcount(free_mask));
       } else {
         for (std::size_t i = 0; i < ncand; ++i) {
-          t.d.measured_candidates_free += static_cast<std::uint64_t>(
-              !rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated);
+          t.d.measured_candidates_free +=
+              static_cast<std::uint64_t>(!busy(cand.dir(i), cand.vc(i)));
         }
       }
     }
@@ -1436,23 +1562,25 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
         }
       } else {
         for (std::size_t i = begin; i < end; ++i) {
-          if (!rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated) {
+          if (!busy(cand.dir(i), cand.vc(i))) {
             t.free_cands.push_back({cand.dir(i), cand.vc(i)});
           }
         }
         if (t.free_cands.empty()) continue;
       }
+      // Two captured references: small enough for std::function's inline
+      // buffer, so a selection allocates nothing.
       const auto pick = routing::select_candidate(
           config_.selection,
           std::span<const routing::CandidateVc>(t.free_cands.data(),
                                                 t.free_cands.size()),
-          [&](std::size_t i) {
-            const auto& cv = t.free_cands[i];
-            return rt.output(port_index(cv.dir), cv.vc).credits;
+          [&t, &credits](std::size_t i) {
+            return credits(t.free_cands[i]);
           },
           sel);
       const auto& chosen = t.free_cands[pick];
 #ifndef NDEBUG
+      const int port = idx / vcs;
       if (!debug_channel_order_.empty() && port != port_index(Direction::Local)) {
         // The held channel is the upstream router's output feeding this
         // input port (see channel_id.hpp).  On ranked -> ranked moves the
@@ -1471,11 +1599,14 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
       // Output-VC ownership is the *slot*: the purge/victim machinery
       // indexes its flag arrays by slot, and the owner is always live
       // while the reservation is held.
-      rt.output(port_index(chosen.dir), chosen.vc).allocate(front.msg);
-      ++t.d.vc_alloc[static_cast<std::size_t>(chosen.vc)];
       ivc.out_dir = chosen.dir;
-      ivc.out_vc = chosen.vc;
+      ivc.out_vc = static_cast<std::int16_t>(chosen.vc);
       ivc.stage = IvcStage::Active;
+      reserve_output(id,
+                     static_cast<std::size_t>(port_index(chosen.dir) * vcs +
+                                              chosen.vc),
+                     static_cast<std::size_t>(idx), front.msg);
+      ++t.d.vc_alloc[static_cast<std::size_t>(chosen.vc)];
       unmark_ready(Ready::Route, id, static_cast<std::size_t>(idx));
       mark_ready(Ready::Switch, id, static_cast<std::size_t>(idx));
       if (trace_ != nullptr) {
@@ -1514,9 +1645,11 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
   int found = 0;
   for (int k = 0; k < nivc; ++k) {
     const int idx = (k + offset) % nivc;
-    const InputVc& ivc = rt.input(idx / vcs, idx % vcs);
-    if (ivc.buf.empty()) continue;
-    if (!is_head(ivc.buf.front().type) || ivc.stage == IvcStage::Active) {
+    const FlitRing buf = ring(base + static_cast<std::size_t>(idx));
+    if (buf.empty()) continue;
+    if (!is_head(buf.front().type) ||
+        ivcs_[base + static_cast<std::size_t>(idx)].stage ==
+            IvcStage::Active) {
       continue;
     }
     ++found;
@@ -1559,42 +1692,48 @@ void Network::switch_node(Tile& t, NodeId id) {
   const int sendable = switch_pending_[static_cast<std::size_t>(id)];
   const bool exhaustive = config_.scan_mode == ScanMode::Full;
   if (!exhaustive && sendable == 0) return;
-  const int vcs = algorithm_->layout().total();
+  const int vcs = vcs_;
   const auto local = port_index(Direction::Local);
-  const Coord c = mesh_->coord_of(id);
-  Router& rt = routers_[static_cast<std::size_t>(id)];
+  const auto sid = static_cast<std::size_t>(id);
+  const std::size_t base = sid * node_vcs_;
+  const std::size_t bit0 = sid * vc_words_ * 64;
 
   // Collect requests in the fixed port-major order (the shuffle below
   // depends on the initial order, so both scan modes must build the same
-  // sequence).  Active walks the sendable bits in ascending flat index
-  // (port * vcs + vc), which is that order; Full scans every VC.
+  // sequence).  Active walks sendable & ~blocked in ascending flat index
+  // (port * vcs + vc): the sendable VCs whose output still has a credit or
+  // ejects, in that order.  Full scans every VC and checks the credits.
   t.requests.clear();
-  const auto request = [&](int port, int vc) {
-    const InputVc& ivc = rt.input(port, vc);
-    if (ivc.out_dir != Direction::Local &&
-        rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0) {
-      return;
-    }
-    t.requests.push_back({static_cast<std::int16_t>(port),
-                          static_cast<std::int16_t>(vc)});
-  };
   if (!exhaustive) {
-    const std::uint64_t* words = ready_words(Ready::Switch, id);
+    const std::uint64_t* ready = ready_words(Ready::Switch, id);
+    const std::uint64_t* blocked = blocked_vcs_.data() + sid * vc_words_;
     for (std::size_t w = 0; w < vc_words_; ++w) {
-      for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+      for (std::uint64_t word = ready[w] & ~blocked[w]; word != 0;
+           word &= word - 1) {
         const auto idx = static_cast<int>(
             (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-        request(idx / vcs, idx % vcs);
+        t.requests.push_back({static_cast<std::int16_t>(idx / vcs),
+                              static_cast<std::int16_t>(idx % vcs)});
       }
     }
   } else {
     int seen = 0;
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs; ++vc) {
-        const InputVc& ivc = rt.input(port, vc);
-        if (ivc.stage != IvcStage::Active || ivc.buf.empty()) continue;
+        const auto k = static_cast<std::size_t>(port * vcs + vc);
+        const InputVc& ivc = ivcs_[base + k];
+        if (ivc.stage != IvcStage::Active || ivc.empty()) continue;
         ++seen;
-        request(port, vc);
+        const bool starved =
+            ivc.out_dir != Direction::Local &&
+            ovcs_[base + static_cast<std::size_t>(
+                             port_index(ivc.out_dir) * vcs + ivc.out_vc)]
+                    .credits == 0;
+        assert(starved == test_bit(blocked_vcs_, bit0 + k) &&
+               "blocked bit disagrees with the output VC's credits");
+        if (starved) continue;
+        t.requests.push_back({static_cast<std::int16_t>(port),
+                              static_cast<std::int16_t>(vc)});
       }
     }
     assert(seen == sendable && "switch_pending_ counter is not exact");
@@ -1615,18 +1754,20 @@ void Network::switch_node(Tile& t, NodeId id) {
   bool used_in[kPortCount] = {};
   bool used_out[kPortCount] = {};
   for (const auto& req : t.requests) {
-    InputVc& ivc = rt.input(req.port, req.vc);
+    const auto idx = static_cast<std::size_t>(req.port * vcs + req.vc);
+    InputVc& ivc = ivcs_[base + idx];
     const int out_port = port_index(ivc.out_dir);
     if (used_in[req.port] || used_out[out_port]) continue;
     used_in[req.port] = true;
     used_out[out_port] = true;
 
-    const Flit flit = ivc.buf.front();
-    ivc.buf.pop_front();
+    const FlitRing buf = ring(base + idx);
+    const Flit flit = buf.front();
+    buf.pop_front();
     --t.d.buffered_flits;
     ++t.d.flits_moved;
     if (measuring_ && config_.collect_traffic_map) {
-      ++node_traffic_[static_cast<std::size_t>(id)];
+      ++node_traffic_[sid];
     }
     const bool tail = is_tail(flit.type);
 
@@ -1649,7 +1790,7 @@ void Network::switch_node(Tile& t, NodeId id) {
         }
         if (trace_ != nullptr) {
           const HeaderState& h = headers_[flit.msg];
-          emit(trace::EventKind::Eject, m.id, c,
+          emit(trace::EventKind::Eject, m.id, mesh_->coord_of(id),
                static_cast<std::uint32_t>(h.rs.hops),
                static_cast<std::uint32_t>(h.rs.misroutes));
         }
@@ -1658,7 +1799,8 @@ void Network::switch_node(Tile& t, NodeId id) {
         t.retires.push_back(flit.msg);
       }
     } else {
-      OutputVc& ovc = rt.output(out_port, ivc.out_vc);
+      const auto out = static_cast<std::size_t>(out_port * vcs + ivc.out_vc);
+      OutputVc& ovc = ovcs_[base + out];
       --ovc.credits;
       LinkReg& reg = link(id, out_port);
       assert(!reg.full && "one flit per link per cycle");
@@ -1666,11 +1808,15 @@ void Network::switch_node(Tile& t, NodeId id) {
       reg.vc = ivc.out_vc;
       reg.full = true;
       ++t.d.buffered_flits;
-      note_link_full(t, static_cast<std::size_t>(id) * kMeshDirections +
+      note_link_full(t, sid * kMeshDirections +
                             static_cast<std::size_t>(out_port));
       if (tail) {
-        ovc.release();
+        release_output(id, out);
         --t.d.vc_alloc[static_cast<std::size_t>(ivc.out_vc)];
+      } else if (ovc.credits == 0) {
+        // Out of credits: the worm leaves the request set until the
+        // commit returns one.
+        set_bit(blocked_vcs_, bit0 + idx);
       }
     }
 
@@ -1678,25 +1824,25 @@ void Network::switch_node(Tile& t, NodeId id) {
     // deferred to the commit, so a freed slot becomes visible upstream on
     // the next cycle no matter which tile (or visit order) freed it.
     if (req.port != local) {
-      const auto updir = static_cast<Direction>(req.port);
-      const auto up = mesh_->neighbour(c, updir);
-      assert(up);
+      const NodeId up = neighbour_[sid * kMeshDirections +
+                                   static_cast<std::size_t>(req.port)];
+      assert(up >= 0);
       t.credits.push_back(
-          {mesh_->id_of(*up),
-           static_cast<std::int16_t>(port_index(opposite(updir))),
-           static_cast<std::int16_t>(req.vc)});
+          {up, static_cast<std::uint32_t>(
+                   port_index(opposite(static_cast<Direction>(req.port))) *
+                       vcs +
+                   req.vc)});
     }
 
-    const auto idx = static_cast<std::size_t>(req.port * vcs + req.vc);
     if (tail) {
       ivc.release();
       unmark_ready(Ready::Switch, id, idx);
-      if (!ivc.buf.empty()) {
+      if (!buf.empty()) {
         // The flit behind a tail is always the next worm's header.
-        assert(is_head(ivc.buf.front().type));
+        assert(is_head(buf.front().type));
         mark_ready(Ready::Route, id, idx);
       }
-    } else if (ivc.buf.empty()) {
+    } else if (buf.empty()) {
       // The worm still owns the VC but has nothing to send.
       unmark_ready(Ready::Switch, id, idx);
     }
@@ -1738,7 +1884,13 @@ void Network::phase_sampling() {
       // Reference-path cross-check: the incremental per-VC allocation
       // counters must agree with a fresh scan of the routers.
       std::vector<std::uint64_t> check(vc_busy_counts_.size(), 0);
-      for (const auto& rt : routers_) rt.count_allocated_link_vcs(check);
+      for (std::size_t g = 0; g < ovcs_.size(); ++g) {
+        const std::size_t k = g % node_vcs_;
+        if (k < static_cast<std::size_t>(kMeshDirections * vcs_) &&
+            ovcs_[g].allocated()) {
+          ++check[k % static_cast<std::size_t>(vcs_)];
+        }
+      }
       for (std::size_t v = 0; v < check.size(); ++v) {
         assert(check[v] == link_vc_allocated_[v]);
       }
@@ -1765,21 +1917,18 @@ void Network::phase_sampling() {
 
 std::vector<MessageSlot> Network::collect_fault_victims() const {
   std::vector<MessageSlot> out;
-  const int vcs = algorithm_->layout().total();
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const Coord c = mesh_->coord_of(id);
-    const Router& rt = routers_[static_cast<std::size_t>(id)];
+    const std::size_t base = static_cast<std::size_t>(id) * node_vcs_;
     const bool dead = faults_->blocked(c);
     if (dead) {
       // Flits stranded inside the dead router, reservations at it (worms
       // passing through hold its output VCs), and messages mid-injection
       // from it (their remaining flits can never be supplied).
-      for (int port = 0; port < kPortCount; ++port) {
-        for (int vc = 0; vc < vcs; ++vc) {
-          for (const Flit& f : rt.input(port, vc).buf) out.push_back(f.msg);
-          const OutputVc& ovc = rt.output(port, vc);
-          if (ovc.allocated) out.push_back(ovc.owner);
-        }
+      for (std::size_t k = 0; k < node_vcs_; ++k) {
+        for (const Flit& f : ring(base + k)) out.push_back(f.msg);
+        const OutputVc& ovc = ovcs_[base + k];
+        if (ovc.allocated()) out.push_back(ovc.owner);
       }
       for (int iv = 0; iv < config_.injection_vcs; ++iv) {
         const Supply& s =
@@ -1808,9 +1957,9 @@ std::vector<MessageSlot> Network::collect_fault_victims() const {
         // A healthy router's reservation pointing into the dead neighbour
         // or over the dead channel: the owner's path crosses the fault
         // even if no flit is there yet.
-        for (int vc = 0; vc < vcs; ++vc) {
-          const OutputVc& ovc = rt.output(port_index(dir), vc);
-          if (ovc.allocated) out.push_back(ovc.owner);
+        for (int vc = 0; vc < vcs_; ++vc) {
+          const OutputVc& ovc = ovcs_[vc_index(id, port_index(dir), vc)];
+          if (ovc.allocated()) out.push_back(ovc.owner);
         }
       }
     }
@@ -1841,7 +1990,7 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
       trace_blocked_[static_cast<std::size_t>(s)] = 0;
     }
   }
-  const int vcs = algorithm_->layout().total();
+  const int vcs = vcs_;
   const auto local = port_index(Direction::Local);
 
   // 1. Link registers.  The sender consumed a credit when it launched the
@@ -1851,7 +2000,7 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
     for (int d = 0; d < kMeshDirections; ++d) {
       LinkReg& reg = link(id, d);
       if (!reg.full || !purge[static_cast<std::size_t>(reg.flit.msg)]) continue;
-      routers_[static_cast<std::size_t>(id)].output(d, reg.vc).credits++;
+      ovcs_[vc_index(id, d, reg.vc)].credits++;
       reg.full = false;
       --buffered_flits_;
     }
@@ -1864,12 +2013,12 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
   //    front; a surviving header exposed at the front re-enters routing
   //    from the Idle stage next cycle.
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
-    const Coord c = mesh_->coord_of(id);
-    Router& rt = routers_[static_cast<std::size_t>(id)];
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs; ++vc) {
-        InputVc& ivc = rt.input(port, vc);
-        if (ivc.buf.empty()) {
+        const std::size_t g = vc_index(id, port, vc);
+        InputVc& ivc = ivcs_[g];
+        const FlitRing buf = ring(g);
+        if (buf.empty()) {
           // A worm holds its input-VC claim even while the buffer is
           // momentarily empty (flits streamed ahead of the tail).  The
           // claimant is identified through its reserved output VC; a stale
@@ -1877,41 +2026,41 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
           // VC would be forwarded as body flits of the purged worm.
           if (ivc.stage == IvcStage::Active && ivc.out_vc >= 0) {
             const OutputVc& ovc =
-                rt.output(port_index(ivc.out_dir), ivc.out_vc);
-            if (ovc.allocated && purge[static_cast<std::size_t>(ovc.owner)]) {
+                ovcs_[vc_index(id, port_index(ivc.out_dir), ivc.out_vc)];
+            if (ovc.allocated() &&
+                purge[static_cast<std::size_t>(ovc.owner)]) {
               ivc.release();
             }
           }
           continue;
         }
         const bool front_purged =
-            purge[static_cast<std::size_t>(ivc.buf.front().msg)] != 0;
-        const std::size_t removed = ivc.buf.remove_if([&](const Flit& f) {
+            purge[static_cast<std::size_t>(buf.front().msg)] != 0;
+        const std::size_t removed = buf.remove_if([&](const Flit& f) {
           return purge[static_cast<std::size_t>(f.msg)] != 0;
         });
         if (removed == 0) continue;
         buffered_flits_ -= removed;
         if (port != local) {
-          const auto updir = static_cast<Direction>(port);
-          const auto up = mesh_->neighbour(c, updir);
-          assert(up && "flit buffered on a port with no upstream link");
-          router_mut(*up).output(port_index(opposite(updir)), vc).credits +=
-              static_cast<int>(removed);
+          const NodeId up = neighbour_[static_cast<std::size_t>(id) *
+                                           kMeshDirections +
+                                       static_cast<std::size_t>(port)];
+          assert(up >= 0 && "flit buffered on a port with no upstream link");
+          ovcs_[vc_index(up,
+                         port_index(opposite(static_cast<Direction>(port))),
+                         vc)]
+              .credits += static_cast<std::uint16_t>(removed);
         }
-        if (ivc.buf.empty() || front_purged) ivc.release();
+        if (buf.empty() || front_purged) ivc.release();
       }
     }
   }
 
-  // 3. Channel reservations held by purged messages.
-  for (auto& rt : routers_) {
-    for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
-        OutputVc& ovc = rt.output(port, vc);
-        if (ovc.allocated && purge[static_cast<std::size_t>(ovc.owner)]) {
-          ovc.release();
-        }
-      }
+  // 3. Channel reservations held by purged messages (the reserved bits
+  //    follow in rebuild_active_sets).
+  for (OutputVc& ovc : ovcs_) {
+    if (ovc.allocated() && purge[static_cast<std::size_t>(ovc.owner)]) {
+      ovc.owner = kInvalidMessage;
     }
   }
 
@@ -1955,7 +2104,6 @@ void Network::requeue_message(MessageSlot slot) {
 }
 
 void Network::revalidate_ring_state(const fault::FRingSet& rings) {
-  const int vcs = algorithm_->layout().total();
   const auto check = [&](MessageSlot slot, Coord pos) {
     auto& r = headers_[static_cast<std::size_t>(slot)].rs.ring;
     if (!r.active) return;
@@ -1981,12 +2129,10 @@ void Network::revalidate_ring_state(const fault::FRingSet& rings) {
   };
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const Coord c = mesh_->coord_of(id);
-    const Router& rt = routers_[static_cast<std::size_t>(id)];
-    for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
-        for (const Flit& f : rt.input(port, vc).buf) {
-          if (is_head(f.type)) check(f.msg, c);
-        }
+    const std::size_t base = static_cast<std::size_t>(id) * node_vcs_;
+    for (std::size_t k = 0; k < node_vcs_; ++k) {
+      for (const Flit& f : ring(base + k)) {
+        if (is_head(f.type)) check(f.msg, c);
       }
     }
     for (int d = 0; d < kMeshDirections; ++d) {
@@ -2004,22 +2150,22 @@ void Network::revalidate_ring_state(const fault::FRingSet& rings) {
 
 std::string Network::debug_stuck_report(std::size_t max_lines) const {
   std::ostringstream os;
-  const int vcs = algorithm_->layout().total();
+  const int vcs = vcs_;
   std::size_t lines = 0;
   for (NodeId id = 0; id < mesh_->node_count() && lines < max_lines; ++id) {
     const Coord c = mesh_->coord_of(id);
-    const Router& rt = routers_[static_cast<std::size_t>(id)];
     for (int port = 0; port < kPortCount && lines < max_lines; ++port) {
       for (int vc = 0; vc < vcs && lines < max_lines; ++vc) {
-        const InputVc& ivc = rt.input(port, vc);
-        if (ivc.buf.empty()) continue;
-        const auto& f = ivc.buf.front();
+        const InputVc& ivc = ivcs_[vc_index(id, port, vc)];
+        const ConstFlitRing buf = ring(vc_index(id, port, vc));
+        if (buf.empty()) continue;
+        const auto& f = buf.front();
         const auto& m = messages_[f.msg];
         const auto& h = headers_[f.msg];
         os << "(" << c.x << "," << c.y << ") in["
            << topology::to_string(static_cast<Direction>(port)) << "][" << vc
            << "] msg " << m.id << " seq " << f.seq << " len "
-           << static_cast<int>(ivc.buf.size()) << " stage "
+           << static_cast<int>(buf.size()) << " stage "
            << static_cast<int>(ivc.stage) << " -> "
            << topology::to_string(ivc.out_dir) << "[" << ivc.out_vc << "]"
            << " src(" << m.src.x << "," << m.src.y << ") dst(" << m.dst.x
@@ -2033,9 +2179,9 @@ std::string Network::debug_stuck_report(std::size_t max_lines) const {
           algorithm_->enumerate(c, h, cl);
           for (std::size_t i = 0; i < cl.size(); ++i) {
             const auto& cv = cl[i];
-            const auto& ovc = rt.output(port_index(cv.dir), cv.vc);
+            const auto& ovc = ovcs_[vc_index(id, port_index(cv.dir), cv.vc)];
             os << " " << topology::to_string(cv.dir) << "[" << cv.vc << "]";
-            if (ovc.allocated) os << "@" << messages_[ovc.owner].id;
+            if (ovc.allocated()) os << "@" << messages_[ovc.owner].id;
           }
         }
         os << "\n";
@@ -2053,17 +2199,16 @@ std::vector<MessageId> Network::find_deadlock_cycle() const {
   // all edges and then verify the cycle is closed under "all candidates
   // owned by cycle members" for the strongest claim available without
   // replaying schedules).  For diagnostics we report any ownership cycle.
-  const int vcs = algorithm_->layout().total();
   std::map<MessageSlot, std::vector<MessageSlot>> edges;
   routing::CandidateList cand;
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const Coord c = mesh_->coord_of(id);
-    const Router& rt = routers_[static_cast<std::size_t>(id)];
     for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
-        const InputVc& ivc = rt.input(port, vc);
-        if (ivc.buf.empty()) continue;
-        const Flit& front = ivc.buf.front();
+      for (int vc = 0; vc < vcs_; ++vc) {
+        const InputVc& ivc = ivcs_[vc_index(id, port, vc)];
+        const ConstFlitRing buf = ring(vc_index(id, port, vc));
+        if (buf.empty()) continue;
+        const Flit& front = buf.front();
         if (!is_head(front.type) || ivc.stage == IvcStage::Active) continue;
         const HeaderState& m = headers_[front.msg];
         if (c == m.dst) continue;
@@ -2072,8 +2217,8 @@ std::vector<MessageId> Network::find_deadlock_cycle() const {
         auto& out = edges[front.msg];
         for (std::size_t i = 0; i < cand.size(); ++i) {
           const auto& cv = cand[i];
-          const auto& ovc = rt.output(port_index(cv.dir), cv.vc);
-          if (ovc.allocated && ovc.owner != front.msg) {
+          const auto& ovc = ovcs_[vc_index(id, port_index(cv.dir), cv.vc)];
+          if (ovc.allocated() && ovc.owner != front.msg) {
             out.push_back(ovc.owner);
           }
         }

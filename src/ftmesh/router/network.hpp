@@ -13,22 +13,30 @@
 // Timing model: one flit per link per cycle; single-cycle routers; random
 // resolution of all conflicts (per the paper).
 //
+// Storage: every input and output VC of every router lives in flat,
+// network-owned arrays indexed by node * 5 * vcs + port * vcs + vc, with
+// the input buffers' flit slots in one array beside them (buffer_depth
+// slots per VC).
+//
 // Scheduling: the per-cycle phases are occupancy-driven.  The network keeps
-// per-VC bitmaps of routable headers and sendable (switch-ready) flits,
-// exact per-node counts of both, pending injection work and the set of
-// full link registers, updated at every occupancy-changing point (arrival,
-// injection, route allocation, switch traversal, tail release, purge).
-// ScanMode::Active visits only nodes whose count is non-zero and, within a
-// node, only the set bits; ScanMode::Full is the exhaustive reference scan
-// that additionally cross-checks the counters in debug builds.  Both modes
-// produce bit-identical results — see docs/performance.md for the
-// invariants and the determinism argument.
+// per-VC bitmaps of routable headers, sendable (switch-ready) flits,
+// credit-blocked worms and reserved output VCs, exact per-node counts of
+// the first two, pending injection work and the set of full link
+// registers, updated at every occupancy-changing point (arrival,
+// injection, route allocation, switch traversal, tail release, credit
+// return, purge).  ScanMode::Active visits only nodes whose count is
+// non-zero and, within a node, only the set bits; ScanMode::Full is the
+// exhaustive reference scan that reads the VC records directly and
+// cross-checks the counters in debug builds.  Both modes produce
+// bit-identical results — see docs/performance.md for the invariants and
+// the determinism argument.
 
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -37,7 +45,7 @@
 
 #include "ftmesh/fault/fault_model.hpp"
 #include "ftmesh/router/message.hpp"
-#include "ftmesh/router/router.hpp"
+#include "ftmesh/router/virtual_channel.hpp"
 #include "ftmesh/routing/routing_algorithm.hpp"
 #include "ftmesh/routing/selection.hpp"
 #include "ftmesh/sim/rng.hpp"
@@ -212,8 +220,12 @@ class Network {
     return {slot, slot_gen_[slot]};
   }
 
-  [[nodiscard]] const Router& router_at(topology::Coord c) const {
-    return routers_[static_cast<std::size_t>(mesh_->id_of(c))];
+  /// Virtual channels per port (the algorithm's layout total).
+  [[nodiscard]] int vcs() const noexcept { return vcs_; }
+  /// Output VC `vc` of `port` at router `c`.
+  [[nodiscard]] const OutputVc& output_vc(topology::Coord c, int port,
+                                          int vc) const {
+    return ovcs_[vc_index(mesh_->id_of(c), port, vc)];
   }
 
   [[nodiscard]] std::size_t source_queue_length(topology::Coord c) const {
@@ -458,13 +470,15 @@ class Network {
 
   /// Runtime invariant audit; throws AuditError on the first violation.
   /// Level 1 checks the slot table (free-list uniqueness, generation /
-  /// live-id consistency, created == retired + live) and that each node's
-  /// ready-VC bitmap popcounts equal its pending counters.  Level 2
+  /// live-id consistency, created == retired + live), that each node's
+  /// ready-VC bitmap popcounts equal its pending counters, and that the
+  /// reserved-VC popcount equals the link VC allocation gauge.  Level 2
   /// additionally recounts the whole network: flit conservation across
   /// input buffers and link registers, per-link credit/occupancy
-  /// accounting, output-VC ownership by live slots, every ready-VC bit
-  /// against its input VC, the exact per-node pending counters, and
-  /// active-set exactness (mask bit set iff the node has work).  Always
+  /// accounting, output-VC ownership by live slots, every ready, blocked
+  /// and reserved bit and every output-VC holder entry against the VC
+  /// records, the exact per-node pending counters, and active-set
+  /// exactness (mask bit set iff the node has work).  Always
   /// compiled (tests drive it directly); builds configured with
   /// -DFTMESH_AUDIT=1|2 also run it automatically at the end of every
   /// step().
@@ -498,15 +512,14 @@ class Network {
   };
   static constexpr std::size_t kRouteCacheSize = 4096;  // power of two
 
-  /// A deferred credit return: +1 credit on `node`'s output (port, vc),
-  /// applied after the switching barrier.  Deferring makes the cycle a
-  /// credit sees its freed slot uniform (always the next cycle) instead of
-  /// depending on node visit order — the property that lets tiles run
-  /// concurrently without changing results.
+  /// A deferred credit return: +1 credit on `node`'s output VC with
+  /// node-local index `out`, applied after the switching barrier.
+  /// Deferring makes the cycle a credit sees its freed slot uniform (always
+  /// the next cycle) instead of depending on node visit order — the
+  /// property that lets tiles run concurrently without changing results.
   struct CreditReturn {
     topology::NodeId node;
-    std::int16_t port;
-    std::int16_t vc;
+    std::uint32_t out;
   };
   /// A deferred destination ejection: the hook runs after the barrier in
   /// ascending node order (<= 1 ejection per node per cycle, so that order
@@ -559,6 +572,12 @@ class Network {
   /// writes is either owned by the tile or one of these queues.
   struct Tile {
     std::vector<topology::NodeId> nodes;  // ascending
+    /// Columns and rows of the tile's rectangle: the node in row r and
+    /// column i of the rectangle has local index r * columns + i, so each
+    /// mesh row's slice of the tile is a contiguous bit range of every
+    /// node mask.
+    int columns = 0;
+    int rows = 0;
     // Occupancy bitmaps, one bit per tile-local node index (bit i of word
     // i/64 <=> nodes[i]).  A bit is set exactly while the node's pending
     // counter is positive — bump_* maintains the equivalence on the
@@ -640,7 +659,9 @@ class Network {
   /// Folds every tile's PhaseDeltas into the real counters.
   void reduce_deltas();
   /// Merged, ascending node list of every tile's set mask bits
-  /// (scratch-backed; the ordered driver's work source).
+  /// (scratch-backed; the ordered driver's work source).  Walks mesh rows
+  /// and, within a row, the tiles left to right, so the list comes out
+  /// sorted without a sort.
   const std::vector<topology::NodeId>& merged_mask_nodes(
       std::vector<std::uint64_t> Tile::* mask);
 
@@ -726,17 +747,24 @@ class Network {
   /// mutations (purge, reconfiguration) instead of per-item bookkeeping.
   void rebuild_active_sets();
 
-  // Occupancy bookkeeping.  Per input VC (flat index port * vcs + vc):
+  // Occupancy bookkeeping.  Per input VC (node-local index port * vcs + vc):
   //   routable bit = a header flit at the front and stage != Active
-  //   sendable bit = stage == Active and a non-empty buffer (credits are
-  //                  checked at switching time)
-  // and per node the exact counts of those bits, plus
+  //   sendable bit = stage == Active and a non-empty buffer
+  //   blocked bit  = stage == Active, the reserved output is a link, and
+  //                  that output VC has zero credits
+  // per output VC (same local index):
+  //   reserved bit = the output VC is allocated to a worm
+  // and per node the exact counts of the routable and sendable bits, plus
   //   inject_pending_[n] = source-queue length + busy injection supplies.
   // A node's bit in its tile's occupancy mask is set exactly while its
   // count is positive.  mark_ready / unmark_ready are the only writers of
-  // the VC bits, the route/switch counts and the route/switch tile masks,
-  // so the three cannot drift apart; bump_inject does the same for the
-  // injection count and mask on the zero <-> positive transitions.
+  // the routable/sendable bits, the route/switch counts and the
+  // route/switch tile masks, so the three cannot drift apart; bump_inject
+  // does the same for the injection count and mask on the zero <->
+  // positive transitions.  The blocked and reserved bits (and the
+  // output VCs' holder fields) change only at route allocation, at a
+  // switch move that drains the credits or releases the VC, at the
+  // 0 -> 1 credit return in commit_deferred, and in rebuild_active_sets.
   enum class Ready : std::uint8_t { Route, Switch };
   void mark_ready(Ready kind, topology::NodeId node, std::size_t ivc);
   void unmark_ready(Ready kind, topology::NodeId node, std::size_t ivc);
@@ -747,6 +775,14 @@ class Network {
     const auto& bits = kind == Ready::Route ? route_vcs_ : switch_vcs_;
     return bits.data() + static_cast<std::size_t>(node) * vc_words_;
   }
+  /// Reserves output VC `out` (node-local index) of `node` for the worm in
+  /// slot `owner`, held by the Active input VC `in`, which starts out
+  /// blocked if the output has no credit.  The output records `in` as its
+  /// holder: the 0 -> 1 credit return unblocks the holder through it.
+  void reserve_output(topology::NodeId node, std::size_t out, std::size_t in,
+                      MessageSlot owner);
+  /// Frees output VC `out` (node-local index) of `node`.
+  void release_output(topology::NodeId node, std::size_t out);
   /// Called exactly when a flit lands on an empty link register.  `t` is
   /// the sender's tile (== the caller's): the register is listed on the
   /// sender's tile only when the downstream node is also in it, otherwise
@@ -757,8 +793,18 @@ class Network {
   void note_buffer_push(topology::NodeId node, const InputVc& ivc,
                         std::size_t ivc_idx, const Flit& f, bool was_empty);
 
-  Router& router_mut(topology::Coord c) {
-    return routers_[static_cast<std::size_t>(mesh_->id_of(c))];
+  /// Flat index of (node, port, vc) in the VC arrays.
+  [[nodiscard]] std::size_t vc_index(topology::NodeId node, int port,
+                                     int vc) const noexcept {
+    return static_cast<std::size_t>(node) * node_vcs_ +
+           static_cast<std::size_t>(port * vcs_ + vc);
+  }
+  /// The flit buffer of the input VC with flat index `g`.
+  [[nodiscard]] FlitRing ring(std::size_t g) noexcept {
+    return {ivcs_[g].ring, flits_.get() + g * depth_, depth_};
+  }
+  [[nodiscard]] ConstFlitRing ring(std::size_t g) const noexcept {
+    return {ivcs_[g].ring, flits_.get() + g * depth_, depth_};
   }
   LinkReg& link(topology::NodeId node, int dir) {
     return links_[static_cast<std::size_t>(node) * topology::kMeshDirections +
@@ -785,7 +831,23 @@ class Network {
   std::uint64_t sel_seed_ = 0;
   std::uint64_t shuf_seed_ = 0;
 
-  std::vector<Router> routers_;
+  // Flat VC store (see virtual_channel.hpp), every array indexed by
+  // vc_index(node, port, vc) — the flit slots by that index times the
+  // buffer depth.  The slots are left uninitialised: a slot is written by
+  // the push that fills it before any read, so construction touches only
+  // the 8-byte records.
+  struct SlotsDelete {
+    void operator()(Flit* p) const noexcept { ::operator delete(p); }
+  };
+  int vcs_ = 0;                ///< VCs per port
+  std::size_t node_vcs_ = 0;   ///< kPortCount * vcs_: VCs of each kind per node
+  std::uint16_t depth_ = 1;    ///< buffer depth (flit slots per input VC)
+  std::vector<InputVc> ivcs_;
+  std::vector<OutputVc> ovcs_;
+  std::unique_ptr<Flit[], SlotsDelete> flits_;
+  /// Neighbour of each node per mesh direction ([node][direction], -1 at
+  /// the mesh edge) — indexed like links_.
+  std::vector<topology::NodeId> neighbour_;
   std::vector<LinkReg> links_;  // [node][direction]
 
   // Message storage: a slot table plus a parallel hot array (SoA split —
@@ -835,6 +897,8 @@ class Network {
   std::size_t vc_words_ = 1;  ///< 64-bit words per node per VC bitmap
   std::vector<std::uint64_t> route_vcs_;   ///< [node][vc_words_] routable
   std::vector<std::uint64_t> switch_vcs_;  ///< [node][vc_words_] sendable
+  std::vector<std::uint64_t> blocked_vcs_;   ///< [node][vc_words_] no credit
+  std::vector<std::uint64_t> reserved_vcs_;  ///< [node][vc_words_] outputs
   std::vector<std::uint16_t> route_pending_;   ///< popcount of route_vcs_
   std::vector<std::uint16_t> switch_pending_;  ///< popcount of switch_vcs_
   std::vector<std::uint32_t> inject_pending_;

@@ -1,9 +1,13 @@
 #pragma once
 // Per-virtual-channel state of the wormhole router.
 //
-// Input VCs hold a FIFO flit buffer plus the head message's pipeline stage;
-// output VCs track downstream ownership (wormhole reservation from header
-// until tail) and credit-based flow control.
+// The network stores these records in flat arrays indexed by
+// node * 5 * vcs + port * vcs + vc (see Network).  Input VCs hold the ring
+// cursor of their flit buffer plus the head message's pipeline stage and
+// reserved output; output VCs track downstream ownership (wormhole
+// reservation from header until tail) and credit-based flow control.
+// Both records are 8 bytes, so a router's 5 * vcs channels of each kind
+// are a few contiguous cache lines.
 
 #include <cstdint>
 
@@ -21,12 +25,12 @@ enum class IvcStage : std::uint8_t {
 };
 
 struct InputVc {
-  FlitRing buf;
+  RingCursor ring;  ///< into the VC's buffer_depth flit slots
   IvcStage stage = IvcStage::Idle;
   topology::Direction out_dir = topology::Direction::Local;
-  int out_vc = -1;
+  std::int16_t out_vc = -1;
 
-  [[nodiscard]] bool empty() const noexcept { return buf.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return ring.count == 0; }
 
   void release() noexcept {
     stage = IvcStage::Idle;
@@ -34,20 +38,20 @@ struct InputVc {
     out_dir = topology::Direction::Local;
   }
 };
+static_assert(sizeof(InputVc) == 8, "InputVc must stay a dense 8-byte record");
 
 struct OutputVc {
-  bool allocated = false;
-  MessageId owner = kInvalidMessage;
-  int credits = 0;
+  std::uint16_t credits = 0;  ///< free downstream slots (<= buffer depth)
+  /// Node-local index (port * vcs + vc) of the input VC holding the VC;
+  /// meaningful only while allocated.
+  std::uint16_t holder = 0;
+  /// Slot of the worm holding the VC; kInvalidMessage while free.
+  MessageSlot owner = kInvalidMessage;
 
-  void allocate(MessageId m) noexcept {
-    allocated = true;
-    owner = m;
-  }
-  void release() noexcept {
-    allocated = false;
-    owner = kInvalidMessage;
+  [[nodiscard]] bool allocated() const noexcept {
+    return owner != kInvalidMessage;
   }
 };
+static_assert(sizeof(OutputVc) == 8, "OutputVc must stay a dense 8-byte record");
 
 }  // namespace ftmesh::router

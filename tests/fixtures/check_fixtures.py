@@ -45,6 +45,15 @@ CASES = [
     ("saturated_boura_ft_tiled.json",
      ["run", "--algorithm", "Boura-FT"] + _SATURATED +
      ["--tiles", "4", "--step-threads", "2"], "stdout"),
+    # Buffer depths away from the default 2: at depth 1 every flit sent
+    # drains an output VC's credits to zero, and depth 5 exercises ring
+    # wrap-around on deeper buffers.
+    ("saturated_duato_depth1.json",
+     ["run", "--algorithm", "Duato"] + _SATURATED + ["--buffer-depth", "1"],
+     "stdout"),
+    ("saturated_fully_adaptive_depth5.json",
+     ["run", "--algorithm", "Fully-Adaptive"] + _SATURATED +
+     ["--buffer-depth", "5"], "stdout"),
     # A channel dies under traffic and repairs, a node fails, and a random
     # transient link process runs: purge, retransmit and abort paths.
     ("transient_link_faults.json",

@@ -1,5 +1,6 @@
-// Tests for the flattened hot-path storage: SmallVec, FlitRing and the
-// CandidateList tier bookkeeping across the inline -> heap transition.
+// Tests for the flattened hot-path storage: SmallVec, the external-storage
+// FlitRing and the CandidateList tier bookkeeping across the inline -> heap
+// transition.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +12,11 @@
 
 namespace {
 
+using ftmesh::router::ConstFlitRing;
 using ftmesh::router::Flit;
 using ftmesh::router::FlitRing;
 using ftmesh::router::FlitType;
+using ftmesh::router::RingCursor;
 using ftmesh::routing::CandidateList;
 using ftmesh::routing::CandidateVc;
 using ftmesh::sim::SmallVec;
@@ -87,69 +90,105 @@ Flit make_flit(std::uint32_t seq, FlitType type = FlitType::Body) {
   return f;
 }
 
-TEST(FlitRing, ShallowDepthNeedsNoHeap) {
-  FlitRing ring;
-  ring.reset_capacity(FlitRing::kInlineCapacity);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.capacity(), FlitRing::kInlineCapacity);
-}
+/// One ring laid out as the network lays it out: the cursor in one place,
+/// the slots in a shared array.  Sentinel flits on both sides of the ring's
+/// slots catch any write outside them.
+struct ExternalRing {
+  explicit ExternalRing(int depth)
+      : depth(static_cast<std::uint16_t>(depth)),
+        storage(static_cast<std::size_t>(depth) + 2,
+                make_flit(kSentinel, FlitType::Head)) {}
 
-TEST(FlitRing, FifoOrderAcrossWrap) {
-  FlitRing ring;
-  ring.reset_capacity(3);
+  FlitRing ring() { return {cursor, storage.data() + 1, depth}; }
+  ConstFlitRing view() const { return {cursor, storage.data() + 1, depth}; }
+  bool sentinels_intact() const {
+    return storage.front().seq == kSentinel && storage.back().seq == kSentinel;
+  }
+
+  static constexpr std::uint32_t kSentinel = 0xdead;
+  std::uint16_t depth;
+  RingCursor cursor;
+  std::vector<Flit> storage;
+};
+
+class FlitRingDepth : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Depths, FlitRingDepth, ::testing::Values(1, 2, 5, 8));
+
+TEST_P(FlitRingDepth, FifoOrderAcrossWrap) {
+  const int depth = GetParam();
+  ExternalRing r(depth);
+  EXPECT_TRUE(r.ring().empty());
+  EXPECT_EQ(r.ring().capacity(), depth);
   std::uint32_t next_push = 0;
   std::uint32_t next_pop = 0;
-  // Push/pop far more flits than the capacity so head_ wraps repeatedly.
-  for (int round = 0; round < 10; ++round) {
-    while (ring.size() < 3) ring.push_back(make_flit(next_push++));
-    ASSERT_EQ(ring.size(), 3u);
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      EXPECT_EQ(ring[i].seq, next_pop + i);
+  // Push/pop far more flits than the capacity so the head wraps repeatedly.
+  for (int round = 0; round < 4 * depth + 3; ++round) {
+    while (r.ring().size() < static_cast<std::size_t>(depth)) {
+      r.ring().push_back(make_flit(next_push++));
     }
-    EXPECT_EQ(ring.front().seq, next_pop);
-    ring.pop_front();
+    const ConstFlitRing view = r.view();
+    ASSERT_EQ(view.size(), static_cast<std::size_t>(depth));
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      EXPECT_EQ(view[i].seq, next_pop + i);
+    }
+    std::uint32_t expect = next_pop;
+    for (const Flit& f : view) EXPECT_EQ(f.seq, expect++);
+    EXPECT_EQ(r.ring().front().seq, next_pop);
+    r.ring().pop_front();
     ++next_pop;
   }
-  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(r.ring().size(), static_cast<std::size_t>(depth - 1));
+  EXPECT_TRUE(r.sentinels_intact());
 }
 
-TEST(FlitRing, DeepBufferUsesHeapTransparently) {
-  FlitRing ring;
-  ring.reset_capacity(16);  // > kInlineCapacity
-  for (std::uint32_t i = 0; i < 16; ++i) ring.push_back(make_flit(i));
-  EXPECT_EQ(ring.size(), 16u);
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(ring.front().seq, i);
-    ring.pop_front();
+TEST_P(FlitRingDepth, RemoveIfPreservesSurvivorOrderAtEveryHead) {
+  const int depth = GetParam();
+  // Every head position, so the compaction meets every split layout.
+  for (int head = 0; head < depth; ++head) {
+    ExternalRing r(depth);
+    for (int i = 0; i < head; ++i) r.ring().push_back(make_flit(0));
+    for (int i = 0; i < head; ++i) r.ring().pop_front();
+    for (int i = 0; i < depth; ++i) {
+      r.ring().push_back(make_flit(static_cast<std::uint32_t>(i)));
+    }
+    const std::size_t removed =
+        r.ring().remove_if([](const Flit& f) { return f.seq % 2 == 1; });
+    EXPECT_EQ(removed, static_cast<std::size_t>(depth / 2));
+    ASSERT_EQ(r.ring().size(), static_cast<std::size_t>((depth + 1) / 2));
+    std::uint32_t expect = 0;
+    for (const Flit& f : r.view()) {
+      EXPECT_EQ(f.seq, expect);
+      expect += 2;
+    }
+    // The survivors stay a FIFO: refill to capacity and drain in order.
+    std::uint32_t next = 100;
+    while (r.ring().size() < static_cast<std::size_t>(depth)) {
+      r.ring().push_back(make_flit(next++));
+    }
+    std::vector<std::uint32_t> drained;
+    while (!r.ring().empty()) {
+      drained.push_back(r.ring().front().seq);
+      r.ring().pop_front();
+    }
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(depth); s += 2) {
+      want.push_back(s);
+    }
+    for (std::uint32_t s = 100; s < next; ++s) want.push_back(s);
+    EXPECT_EQ(drained, want) << "head " << head;
+    EXPECT_TRUE(r.sentinels_intact());
   }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(FlitRing, RemoveIfPreservesSurvivorOrder) {
-  FlitRing ring;
-  ring.reset_capacity(8);
-  // Wrap the head first so the compaction has to handle a split layout.
-  for (std::uint32_t i = 0; i < 5; ++i) ring.push_back(make_flit(i));
-  for (int i = 0; i < 3; ++i) ring.pop_front();
-  for (std::uint32_t i = 5; i < 11; ++i) ring.push_back(make_flit(i));
-  // Ring now holds seqs 3..10.
-  const std::size_t removed =
-      ring.remove_if([](const Flit& f) { return f.seq % 2 == 0; });
-  EXPECT_EQ(removed, 4u);  // 4, 6, 8, 10
-  ASSERT_EQ(ring.size(), 4u);
-  const std::uint32_t expect[] = {3, 5, 7, 9};
-  std::size_t at = 0;
-  for (const Flit& f : ring) EXPECT_EQ(f.seq, expect[at++]);
 }
 
 TEST(FlitRing, RemoveEverything) {
-  FlitRing ring;
-  ring.reset_capacity(4);
-  for (std::uint32_t i = 0; i < 4; ++i) ring.push_back(make_flit(i));
-  EXPECT_EQ(ring.remove_if([](const Flit&) { return true; }), 4u);
-  EXPECT_TRUE(ring.empty());
-  ring.push_back(make_flit(99));  // still usable after a full purge
-  EXPECT_EQ(ring.front().seq, 99u);
+  ExternalRing r(4);
+  for (std::uint32_t i = 0; i < 4; ++i) r.ring().push_back(make_flit(i));
+  EXPECT_EQ(r.ring().remove_if([](const Flit&) { return true; }), 4u);
+  EXPECT_TRUE(r.ring().empty());
+  r.ring().push_back(make_flit(99));  // still usable after a full purge
+  EXPECT_EQ(r.ring().front().seq, 99u);
+  EXPECT_TRUE(r.sentinels_intact());
 }
 
 // ---- CandidateList tier bookkeeping ---------------------------------------

@@ -122,11 +122,11 @@ TEST(Network, DrainsCompletely) {
   for (const auto& m : f.net->messages()) EXPECT_TRUE(m.done);
   for (int y = 0; y < 10; ++y) {
     for (int x = 0; x < 10; ++x) {
-      const auto& rt = f.net->router_at({x, y});
       for (int port = 0; port < ftmesh::topology::kMeshDirections; ++port) {
-        for (int vc = 0; vc < rt.vcs(); ++vc) {
-          EXPECT_FALSE(rt.output(port, vc).allocated);
-          EXPECT_EQ(rt.output(port, vc).credits, f.net->config().buffer_depth);
+        for (int vc = 0; vc < f.net->vcs(); ++vc) {
+          const auto& out = f.net->output_vc({x, y}, port, vc);
+          EXPECT_FALSE(out.allocated());
+          EXPECT_EQ(out.credits, f.net->config().buffer_depth);
         }
       }
     }
