@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "ftmesh/inject/fault_schedule.hpp"
+#include "ftmesh/router/flit.hpp"
 #include "ftmesh/routing/registry.hpp"
 #include "ftmesh/topology/mesh.hpp"
 
@@ -23,7 +25,12 @@ void SimConfig::validate() const {
   if (injection_vcs < 1 || injection_vcs > total_vcs) {
     throw std::invalid_argument("injection_vcs out of range");
   }
-  if (message_length < 1) throw std::invalid_argument("message_length must be >= 1");
+  // A flit numbers its position in the message in 30 bits (router/flit.hpp).
+  if (message_length < 1 || message_length > router::kMaxMessageLength) {
+    throw std::invalid_argument("message_length must be in [1, " +
+                                std::to_string(router::kMaxMessageLength) +
+                                "]");
+  }
   if (std::isnan(injection_rate)) {
     throw std::invalid_argument("injection_rate must not be NaN");
   }

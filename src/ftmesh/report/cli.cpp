@@ -45,15 +45,17 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 }
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto v = get(name, "");
-  if (v.empty()) return fallback;
-  return std::stoll(v);
+  return get_int_as<std::int64_t>(name, fallback);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = get(name, "");
   if (v.empty()) return fallback;
-  return std::stod(v);
+  try {
+    return core::parse_real(v);
+  } catch (const core::NumberFormatError& e) {
+    throw std::invalid_argument("--" + name + ": " + e.what());
+  }
 }
 
 bool Cli::full_scale() const {

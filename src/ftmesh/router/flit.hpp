@@ -34,13 +34,20 @@ constexpr bool is_tail(FlitType t) noexcept {
   return t == FlitType::Tail || t == FlitType::HeadTail;
 }
 
+/// Longest message a flit can index: `seq` below is a 30-bit field, so a
+/// message has at most 2^30 flits.  SimConfig::validate and
+/// Network::create_message / enqueue_message reject anything longer.
+inline constexpr std::uint32_t kMaxMessageLength = std::uint32_t{1} << 30;
+
 /// A flit in a buffer or on a link.  `seq` is its index within the message
 /// (0 = header), used by tests to verify in-order, non-interleaved delivery.
 /// `msg` is the message's *slot* in the network table, not its stable id.
+/// Sequence number and type share one word, so a flit slot is 8 bytes.
 struct Flit {
   MessageSlot msg = kInvalidMessage;
-  std::uint32_t seq = 0;
-  FlitType type = FlitType::Head;
+  std::uint32_t seq : 30 = 0;
+  FlitType type : 2 = FlitType::Head;
 };
+static_assert(sizeof(Flit) == 8, "Flit must stay an 8-byte slot");
 
 }  // namespace ftmesh::router

@@ -67,6 +67,7 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   }
   vcs_ = vcs;
   node_vcs_ = static_cast<std::size_t>(kPortCount * vcs);
+  vc_split_ = VcIndexSplit(vcs);
   depth_ = static_cast<std::uint16_t>(config_.buffer_depth);
   const std::size_t total_vcs = n * node_vcs_;
   ivcs_.assign(total_vcs, InputVc{});
@@ -165,6 +166,7 @@ void Network::setup_tiles() {
            t.nodes.size());
     if (config_.route_cache) t.route_cache.resize(kRouteCacheSize);
     t.d.vc_alloc.assign(static_cast<std::size_t>(vcs), 0);
+    t.requests.resize(node_vcs_);
     const std::size_t words = mask_words(t.nodes.size());
     t.route_mask.assign(words, 0);
     t.switch_mask.assign(words, 0);
@@ -201,7 +203,7 @@ void Network::setup_tiles() {
 
 // ---- occupancy bookkeeping -----------------------------------------------
 
-void Network::mark_ready(Ready kind, NodeId node, std::size_t ivc) {
+inline void Network::mark_ready(Ready kind, NodeId node, std::size_t ivc) {
   const auto sid = static_cast<std::size_t>(node);
   const bool route = kind == Ready::Route;
   auto& bits = route ? route_vcs_ : switch_vcs_;
@@ -219,7 +221,7 @@ void Network::mark_ready(Ready kind, NodeId node, std::size_t ivc) {
   }
 }
 
-void Network::unmark_ready(Ready kind, NodeId node, std::size_t ivc) {
+inline void Network::unmark_ready(Ready kind, NodeId node, std::size_t ivc) {
   const auto sid = static_cast<std::size_t>(node);
   const bool route = kind == Ready::Route;
   auto& bits = route ? route_vcs_ : switch_vcs_;
@@ -519,9 +521,23 @@ void Network::init_created_message(MessageSlot slot, const PendingCreate& pc) {
   algorithm_->on_inject(h);
 }
 
+namespace {
+
+// Library callers reach create_message / enqueue_message without
+// SimConfig::validate, so the flit sequence field's range is checked here.
+void check_message_length(std::uint32_t length) {
+  if (length < 1 || length > kMaxMessageLength) {
+    throw std::invalid_argument("message length must be in [1, " +
+                                std::to_string(kMaxMessageLength) + "], got " +
+                                std::to_string(length));
+  }
+}
+
+}  // namespace
+
 MessageId Network::create_message(Coord src, Coord dst, std::uint32_t length) {
   assert(faults_->active(src) && faults_->active(dst));
-  assert(length >= 1);
+  check_message_length(length);
   // Immediate creations may not interleave with deferred ones while the
   // append-only table is in force: slot == id only holds when slots are
   // appended in id order.
@@ -547,7 +563,7 @@ MessageId Network::create_message(Coord src, Coord dst, std::uint32_t length) {
 
 MessageId Network::enqueue_message(Coord src, Coord dst, std::uint32_t length) {
   assert(faults_->active(src) && faults_->active(dst));
-  assert(length >= 1);
+  check_message_length(length);
   const MessageId id = next_message_id_++;
   pending_creates_.push_back({id, src, dst, length, kInvalidMessage});
   return id;
@@ -1488,7 +1504,7 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
   // Routes the header at the front of input VC `idx` (flat port * vcs +
   // vc), which must be routable.
   const auto route_vc = [&](int idx) {
-    const int vc = idx % vcs;
+    const int vc = vc_split_.vc(static_cast<std::size_t>(idx));
     InputVc& ivc = ivcs_[base + static_cast<std::size_t>(idx)];
     const FlitRing buf = ring(base + static_cast<std::size_t>(idx));
     assert(!buf.empty() && ivc.stage != IvcStage::Active);
@@ -1580,7 +1596,7 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
           sel);
       const auto& chosen = t.free_cands[pick];
 #ifndef NDEBUG
-      const int port = idx / vcs;
+      const int port = vc_split_.port(static_cast<std::size_t>(idx));
       if (!debug_channel_order_.empty() && port != port_index(Direction::Local)) {
         // The held channel is the upstream router's output feeding this
         // input port (see channel_id.hpp).  On ranked -> ranked moves the
@@ -1703,17 +1719,21 @@ void Network::switch_node(Tile& t, NodeId id) {
   // sequence).  Active walks sendable & ~blocked in ascending flat index
   // (port * vcs + vc): the sendable VCs whose output still has a credit or
   // ejects, in that order.  Full scans every VC and checks the credits.
-  t.requests.clear();
+  // Either way the indices land in the tile's request array and the
+  // requesting input ports in a 5-bit mask.
+  std::uint16_t* const requests = t.requests.data();
+  std::size_t n = 0;
+  std::uint32_t in_ports = 0;
   if (!exhaustive) {
     const std::uint64_t* ready = ready_words(Ready::Switch, id);
     const std::uint64_t* blocked = blocked_vcs_.data() + sid * vc_words_;
     for (std::size_t w = 0; w < vc_words_; ++w) {
       for (std::uint64_t word = ready[w] & ~blocked[w]; word != 0;
            word &= word - 1) {
-        const auto idx = static_cast<int>(
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-        t.requests.push_back({static_cast<std::int16_t>(idx / vcs),
-                              static_cast<std::int16_t>(idx % vcs)});
+        const std::size_t idx =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+        requests[n++] = static_cast<std::uint16_t>(idx);
+        in_ports |= 1u << vc_split_.port(idx);
       }
     }
   } else {
@@ -1732,35 +1752,31 @@ void Network::switch_node(Tile& t, NodeId id) {
         assert(starved == test_bit(blocked_vcs_, bit0 + k) &&
                "blocked bit disagrees with the output VC's credits");
         if (starved) continue;
-        t.requests.push_back({static_cast<std::int16_t>(port),
-                              static_cast<std::int16_t>(vc)});
+        requests[n++] = static_cast<std::uint16_t>(k);
+        in_ports |= 1u << port;
       }
     }
     assert(seen == sendable && "switch_pending_ counter is not exact");
     (void)seen;
   }
-  if (t.requests.empty()) return;
+  if (n == 0) return;
 
   // Random conflict resolution (paper): shuffle, then greedy matching
-  // under the one-flit-per-input-port / per-output-port crossbar limits.
-  // The shuffle draws from a (seed, cycle, node) counter stream — node-
-  // local randomness, like the routing draws above.
-  sim::CounterRng shuf(
-      sim::counter_hash(shuf_seed_, cycle_, static_cast<std::uint64_t>(id)));
-  for (std::size_t i = t.requests.size(); i > 1; --i) {
-    const auto j = shuf.next_below(i);
-    std::swap(t.requests[i - 1], t.requests[j]);
+  // under the one-flit-per-input-port / per-output-port crossbar limits
+  // (switch_alloc.hpp).  The shuffle draws from a (seed, cycle, node)
+  // counter stream — node-local randomness, like the routing draws above;
+  // a lone request draws nothing, so its seed is never computed.
+  if (n > 1) {
+    shuffle_requests(
+        requests, n,
+        sim::counter_hash(shuf_seed_, cycle_, static_cast<std::uint64_t>(id)));
   }
-  bool used_in[kPortCount] = {};
-  bool used_out[kPortCount] = {};
-  for (const auto& req : t.requests) {
-    const auto idx = static_cast<std::size_t>(req.port * vcs + req.vc);
+  const auto out_port_of = [&](std::size_t idx) {
+    return port_index(ivcs_[base + idx].out_dir);
+  };
+  match_requests(requests, n, in_ports, vc_split_, out_port_of,
+                 [&](std::size_t idx, int in_port, int out_port) {
     InputVc& ivc = ivcs_[base + idx];
-    const int out_port = port_index(ivc.out_dir);
-    if (used_in[req.port] || used_out[out_port]) continue;
-    used_in[req.port] = true;
-    used_out[out_port] = true;
-
     const FlitRing buf = ring(base + idx);
     const Flit flit = buf.front();
     buf.pop_front();
@@ -1823,15 +1839,16 @@ void Network::switch_node(Tile& t, NodeId id) {
     // Credit return to the upstream router for the vacated buffer slot —
     // deferred to the commit, so a freed slot becomes visible upstream on
     // the next cycle no matter which tile (or visit order) freed it.
-    if (req.port != local) {
+    if (in_port != local) {
       const NodeId up = neighbour_[sid * kMeshDirections +
-                                   static_cast<std::size_t>(req.port)];
+                                   static_cast<std::size_t>(in_port)];
       assert(up >= 0);
+      const auto vc = static_cast<int>(idx) - in_port * vcs;
       t.credits.push_back(
           {up, static_cast<std::uint32_t>(
-                   port_index(opposite(static_cast<Direction>(req.port))) *
+                   port_index(opposite(static_cast<Direction>(in_port))) *
                        vcs +
-                   req.vc)});
+                   vc)});
     }
 
     if (tail) {
@@ -1846,7 +1863,7 @@ void Network::switch_node(Tile& t, NodeId id) {
       // The worm still owns the VC but has nothing to send.
       unmark_ready(Ready::Switch, id, idx);
     }
-  }
+  });
 }
 
 void Network::phase_switching() {

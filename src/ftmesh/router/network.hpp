@@ -45,6 +45,7 @@
 
 #include "ftmesh/fault/fault_model.hpp"
 #include "ftmesh/router/message.hpp"
+#include "ftmesh/router/switch_alloc.hpp"
 #include "ftmesh/router/virtual_channel.hpp"
 #include "ftmesh/routing/routing_algorithm.hpp"
 #include "ftmesh/routing/selection.hpp"
@@ -120,7 +121,9 @@ class Network {
 
   /// Enqueues a new message at `src`'s source queue.  Both endpoints must
   /// be active nodes.  Returns the message's stable id — a monotonically
-  /// increasing counter, never a (reusable) slot index.
+  /// increasing counter, never a (reusable) slot index.  Throws
+  /// std::invalid_argument unless 1 <= length <= kMaxMessageLength (here
+  /// and in enqueue_message).
   MessageId create_message(topology::Coord src, topology::Coord dst,
                            std::uint32_t length);
 
@@ -494,10 +497,6 @@ class Network {
     MessageSlot current = kInvalidMessage;
     std::uint32_t next_seq = 0;
   };
-  struct Request {
-    std::int16_t port;
-    std::int16_t vc;
-  };
   /// One direct-mapped memoization slot: the candidate set the algorithm
   /// enumerated for (node, dst, route_state_key).  Sound by the key
   /// contract (routing_algorithm.hpp): equal key + dst + position imply an
@@ -621,7 +620,9 @@ class Network {
     std::vector<RouteCacheEntry> route_cache;
     routing::CandidateList cand;
     sim::SmallVec<routing::CandidateVc, 16> free_cands;
-    std::vector<Request> requests;
+    /// Switch requests of the node being arbitrated: node-local input-VC
+    /// indices, kPortCount * vcs entries (sized once in setup_tiles).
+    std::vector<std::uint16_t> requests;
   };
 
   void phase_arrivals();
@@ -766,8 +767,10 @@ class Network {
   // switch move that drains the credits or releases the VC, at the
   // 0 -> 1 credit return in commit_deferred, and in rebuild_active_sets.
   enum class Ready : std::uint8_t { Route, Switch };
-  void mark_ready(Ready kind, topology::NodeId node, std::size_t ivc);
-  void unmark_ready(Ready kind, topology::NodeId node, std::size_t ivc);
+  // Inline (defined in network.cpp, their only caller): every flit move
+  // that changes a VC's readiness runs one of them.
+  inline void mark_ready(Ready kind, topology::NodeId node, std::size_t ivc);
+  inline void unmark_ready(Ready kind, topology::NodeId node, std::size_t ivc);
   void bump_inject(topology::NodeId node, int delta);
   /// First word of `node`'s routable/sendable VC bitmap.
   [[nodiscard]] const std::uint64_t* ready_words(Ready kind,
@@ -841,6 +844,7 @@ class Network {
   };
   int vcs_ = 0;                ///< VCs per port
   std::size_t node_vcs_ = 0;   ///< kPortCount * vcs_: VCs of each kind per node
+  VcIndexSplit vc_split_;      ///< node-local index -> (port, vc)
   std::uint16_t depth_ = 1;    ///< buffer depth (flit slots per input VC)
   std::vector<InputVc> ivcs_;
   std::vector<OutputVc> ovcs_;

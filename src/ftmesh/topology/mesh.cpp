@@ -4,7 +4,13 @@
 
 namespace ftmesh::topology {
 
-Mesh::Mesh(int width, int height) : width_(width), height_(height) {
+Mesh::Mesh(int width, int height)
+    : width_(width),
+      height_(height),
+      width_recip_(width >= 2 ? ~std::uint64_t{0} /
+                                        static_cast<std::uint64_t>(width) +
+                                    1
+                              : 0) {
   if (width < 2 || height < 2) {
     throw std::invalid_argument("Mesh sides must be >= 2");
   }

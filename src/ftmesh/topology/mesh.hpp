@@ -5,6 +5,7 @@
 // quantities the routing algorithms need (diameter, hop-class counts,
 // negative-hop colouring).
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -34,8 +35,21 @@ class Mesh {
     return static_cast<NodeId>(c.y * width_ + c.x);
   }
 
+  /// {id % width, id / width} without a division: the quotient is the high
+  /// word of id times the 64-bit reciprocal ceil(2^64 / width), and the
+  /// remainder the high word of the low product times width (Lemire, Kaser
+  /// and Kurz, "Faster remainder by direct computation", 2019) — exact for
+  /// every 32-bit id and every width >= 2.  The routing and injection
+  /// phases convert a node id per visited node per cycle.
   [[nodiscard]] Coord coord_of(NodeId id) const noexcept {
-    return {static_cast<int>(id) % width_, static_cast<int>(id) / width_};
+    const std::uint64_t low = width_recip_ * static_cast<std::uint32_t>(id);
+    const auto x = static_cast<int>(
+        (static_cast<__uint128_t>(low) * static_cast<std::uint32_t>(width_)) >>
+        64);
+    const auto y = static_cast<int>(
+        (static_cast<__uint128_t>(width_recip_) * static_cast<std::uint32_t>(id)) >>
+        64);
+    return {x, y};
   }
 
   /// Neighbour of `c` in direction `d`, or nullopt at a mesh edge.
@@ -73,6 +87,7 @@ class Mesh {
  private:
   int width_;
   int height_;
+  std::uint64_t width_recip_;  ///< ceil(2^64 / width_), see coord_of
 };
 
 }  // namespace ftmesh::topology

@@ -33,6 +33,11 @@ _SATURATED = ["--width", "8", "--height", "8", "--faults", "3", "--rate", "-1",
               "--length", "16", "--cycles", "1500", "--warmup", "300",
               "--seed", "11", "--kernel-stats", "--json"]
 
+# The same configuration with two-flit worms: many short worms in flight
+# put several switch requests on most routers every cycle.
+_SHORT_WORMS = list(_SATURATED)
+_SHORT_WORMS[_SHORT_WORMS.index("--length") + 1] = "2"
+
 # (fixture file, ftmesh arguments, output source).  "stdout" captures the
 # process's standard output; any other value names the file the run writes
 # into its temporary working directory.
@@ -44,6 +49,22 @@ CASES = [
     # Boura-FT also runs the tile-parallel kernel (4 tiles, 2 threads).
     ("saturated_boura_ft_tiled.json",
      ["run", "--algorithm", "Boura-FT"] + _SATURATED +
+     ["--tiles", "4", "--step-threads", "2"], "stdout"),
+    # Every other algorithm on the same saturated configuration.
+    ("saturated_nhop.json",
+     ["run", "--algorithm", "NHop"] + _SATURATED, "stdout"),
+    ("saturated_pbc.json",
+     ["run", "--algorithm", "Pbc"] + _SATURATED, "stdout"),
+    ("saturated_nbc.json",
+     ["run", "--algorithm", "Nbc"] + _SATURATED, "stdout"),
+    ("saturated_duato_pbc.json",
+     ["run", "--algorithm", "Duato-Pbc"] + _SATURATED, "stdout"),
+    ("saturated_minimal_adaptive.json",
+     ["run", "--algorithm", "Minimal-Adaptive"] + _SATURATED, "stdout"),
+    ("saturated_boura_adaptive.json",
+     ["run", "--algorithm", "Boura-Adaptive"] + _SATURATED, "stdout"),
+    ("saturated_duato_short_worms_tiled.json",
+     ["run", "--algorithm", "Duato"] + _SHORT_WORMS +
      ["--tiles", "4", "--step-threads", "2"], "stdout"),
     # Buffer depths away from the default 2: at depth 1 every flit sent
     # drains an output VC's credits to zero, and depth 5 exercises ring

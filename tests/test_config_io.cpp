@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "ftmesh/core/config_io.hpp"
+#include "ftmesh/router/flit.hpp"
 
 namespace {
 
@@ -146,6 +148,50 @@ TEST(ConfigIo, LoadedConfigValidates) {
   std::stringstream in("algorithm = Duato\nfault_count = 5\n");
   const auto cfg = load_config(in);
   EXPECT_NO_THROW(cfg.validate());
+}
+
+// Numeric values must be one whole number that fits the field: std::stoi
+// used to read "4x" as 4, and "-1" for the unsigned message length wrapped
+// to a 4,294,967,295-flit message.
+TEST(ConfigIo, MalformedNumbersFailWithLineAndKey) {
+  for (const char* text :
+       {"width = 4x\n", "message_length = -1\n", "tiles = 99999999999\n",
+        "seed = 1.5\n", "injection_rate = 0.01x\n", "route_cache = yes\n",
+        "total_cycles = \n", "fault_blocks = 1,1,2,2x\n"}) {
+    std::stringstream in(std::string("algorithm = Duato\n") + text);
+    try {
+      load_config(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      if (std::string(text).rfind("fault_blocks", 0) != 0) {
+        EXPECT_NE(what.find("config line 2"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+TEST(ConfigIo, WholeNumbersStillParse) {
+  std::stringstream in(
+      "width = 12\nmessage_length = 4096\nseed = 18446744073709551615\n"
+      "injection_rate = 1e-05\nstep_threads = -1\n");
+  const auto cfg = load_config(in);
+  EXPECT_EQ(cfg.width, 12);
+  EXPECT_EQ(cfg.message_length, 4096u);
+  EXPECT_EQ(cfg.seed, 18446744073709551615ULL);
+  EXPECT_DOUBLE_EQ(cfg.injection_rate, 1e-05);
+  EXPECT_EQ(cfg.step_threads, -1);
+}
+
+// A flit numbers its position within the message in 30 bits.
+TEST(ConfigIo, MessageLengthBeyondSequenceFieldFailsValidation) {
+  SimConfig cfg;
+  cfg.message_length = ftmesh::router::kMaxMessageLength;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.message_length = ftmesh::router::kMaxMessageLength + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.message_length = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 }  // namespace

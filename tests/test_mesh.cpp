@@ -35,6 +35,39 @@ TEST(Mesh, IdCoordRoundTrip) {
   }
 }
 
+// coord_of multiplies by a precomputed reciprocal instead of dividing; it
+// must agree with % and / on every id.
+TEST(Mesh, CoordOfMatchesDivisionOnEveryId) {
+  for (int w = 2; w <= 17; ++w) {
+    for (int h = 2; h <= 13; ++h) {
+      const Mesh m(w, h);
+      for (int id = 0; id < m.node_count(); ++id) {
+        const Coord c = m.coord_of(id);
+        ASSERT_EQ(c.x, id % w) << w << "x" << h << " id " << id;
+        ASSERT_EQ(c.y, id / w) << w << "x" << h << " id " << id;
+      }
+    }
+  }
+}
+
+TEST(Mesh, CoordOfMatchesDivisionOnWideMeshes) {
+  const Mesh wide(65537, 2);
+  for (const int id : {0, 1, 65535, 65536, 65537, 65538, 131072, 131073}) {
+    const Coord c = wide.coord_of(id);
+    EXPECT_EQ(c.x, id % 65537) << id;
+    EXPECT_EQ(c.y, id / 65537) << id;
+  }
+  // Ids close to the largest node count a 32-bit id can hold.
+  const Mesh huge(46341, 46340);
+  const int last = huge.node_count() - 1;
+  for (const int id : {last, last - 1, last - 46340, last - 46341,
+                       46341 * 30000, 46341 * 30000 - 1}) {
+    const Coord c = huge.coord_of(id);
+    EXPECT_EQ(c.x, id % 46341) << id;
+    EXPECT_EQ(c.y, id / 46341) << id;
+  }
+}
+
 TEST(Mesh, ContainsBounds) {
   const Mesh m(3, 3);
   EXPECT_TRUE(m.contains({0, 0}));

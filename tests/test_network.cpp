@@ -184,6 +184,23 @@ TEST(Network, InjectionVcsOutOfRangeThrows) {
                std::invalid_argument);
 }
 
+// Library callers skip SimConfig::validate, so the network itself refuses
+// a length its 30-bit flit sequence field cannot number.
+TEST(Network, MessageLengthOutOfRangeThrows) {
+  NetFixture f;
+  const auto too_long = ftmesh::router::kMaxMessageLength + 1;
+  EXPECT_THROW((void)f.net->create_message({0, 0}, {1, 0}, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)f.net->create_message({0, 0}, {1, 0}, too_long),
+               std::invalid_argument);
+  EXPECT_THROW((void)f.net->enqueue_message({0, 0}, {1, 0}, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)f.net->enqueue_message({0, 0}, {1, 0}, 0xffffffffu),
+               std::invalid_argument);
+  EXPECT_EQ(f.net->messages_created(), 0u);
+  EXPECT_EQ(f.net->pending_creations(), 0u);
+}
+
 TEST(Network, TwoInjectionVcsInterleaveMessagesFromOneSource) {
   NetworkConfig cfg;
   cfg.injection_vcs = 2;

@@ -134,4 +134,29 @@ TEST(Cli, FullScaleViaEnv) {
   ::unsetenv("FTMESH_FULL");
 }
 
+TEST(Cli, NumbersMustParseWhole) {
+  const char* argv[] = {"prog", "--width", "4x", "--rate", "0.01x",
+                        "--big", "99999999999999999999"};
+  const Cli cli(7, argv);
+  EXPECT_THROW((void)cli.get_int("width", 8), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("big", 0), std::invalid_argument);
+}
+
+TEST(Cli, NarrowingRejectsOutOfRangeValues) {
+  const char* argv[] = {"prog", "--length", "-1", "--tiles", "4294967296",
+                        "--seed", "18446744073709551615"};
+  const Cli cli(7, argv);
+  EXPECT_THROW((void)cli.get_int_as<std::uint32_t>("length", 16u),
+               std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int_as<int>("tiles", 1), std::invalid_argument);
+  EXPECT_EQ(cli.get_int_as<std::uint64_t>("seed", 1), 18446744073709551615ULL);
+  EXPECT_EQ(cli.get_int_as<std::uint32_t>("absent", 16u), 16u);
+  try {
+    (void)cli.get_int_as<std::uint32_t>("length", 16u);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--length"), std::string::npos);
+  }
+}
+
 }  // namespace

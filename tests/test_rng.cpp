@@ -156,4 +156,47 @@ TEST(Rng, SplitMix64KnownSequenceAdvances) {
   EXPECT_EQ(s, 2 * 0x9e3779b97f4a7c15ULL);
 }
 
+// Literal values of the counter RNG.  Every arbitration draw in the cycle
+// kernel comes from counter_hash / counter_below, so these pin the exact
+// bits the reports depend on: a change to the hash, the bound reduction or
+// the stream indexing fails here before it reaches a fixture.
+TEST(CounterRng, CounterHashLiteralValues) {
+  using ftmesh::sim::counter_hash;
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(counter_hash(0, 0, 0), 0x1e136b3638e1520fULL);
+  EXPECT_EQ(counter_hash(kMax, kMax, kMax), 0xe99ff867dbf682c9ULL);
+  EXPECT_EQ(counter_hash(1, 2, 3), 0x0faef70efd93ccb1ULL);
+  EXPECT_EQ(counter_hash(0x5bf1e, 12345, 67), 0x7a349e115a07fcd2ULL);
+  EXPECT_EQ(counter_hash(kMax, 0, 0), 0xf72e4126f96f7409ULL);
+  EXPECT_EQ(counter_hash(0, kMax, 0), 0x49c18e491a66eb93ULL);
+}
+
+TEST(CounterRng, CounterBelowLiteralValues) {
+  using ftmesh::sim::counter_below;
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  EXPECT_EQ(counter_below(7, 100, 3, 1), 0u);
+  EXPECT_EQ(counter_below(7, 100, 3, 2), 0u);
+  EXPECT_EQ(counter_below(7, 100, 3, 5), 1u);
+  EXPECT_EQ(counter_below(7, 100, 3, 120), 30u);
+  EXPECT_EQ(counter_below(7, 100, 3, kHalf), 2323911575352656020ULL);
+  EXPECT_EQ(counter_below(kMax, 0, 0, 1), 0u);
+  EXPECT_EQ(counter_below(kMax, 0, 0, 2), 1u);
+  EXPECT_EQ(counter_below(kMax, 0, 0, 5), 4u);
+  EXPECT_EQ(counter_below(kMax, 0, 0, 120), 115u);
+  EXPECT_EQ(counter_below(kMax, 0, 0, kHalf), 8905622605973142020ULL);
+}
+
+TEST(CounterRng, FirstDrawsLiteralValues) {
+  ftmesh::sim::CounterRng r(0x0123456789abcdefULL);
+  const std::uint64_t want[] = {
+      0x76abb05ead24dd9fULL, 0x6435505c287e16adULL, 0x0083f6cf1a70de14ULL,
+      0xf72849dc890eb2d9ULL, 0xf7efb7277bdde112ULL, 0x64a4a19b39c0aa3dULL,
+      0x0166fcdba18de2aeULL, 0x6f5204677497ae2cULL};
+  for (const std::uint64_t w : want) EXPECT_EQ(r(), w);
+  ftmesh::sim::CounterRng q(42);
+  const std::uint64_t below[] = {31, 115, 98, 13, 55, 52, 19, 73};
+  for (const std::uint64_t b : below) EXPECT_EQ(q.next_below(120), b);
+}
+
 }  // namespace

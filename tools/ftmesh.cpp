@@ -70,40 +70,32 @@ SimConfig config_from_cli(const Cli& cli) {
   }
   cfg.algorithm = cli.get("algorithm", cfg.algorithm);
   cfg.traffic = cli.get("traffic", cfg.traffic);
-  cfg.width = static_cast<int>(cli.get_int("width", cfg.width));
-  cfg.height = static_cast<int>(cli.get_int("height", cfg.height));
+  cfg.width = cli.get_int_as("width", cfg.width);
+  cfg.height = cli.get_int_as("height", cfg.height);
   cfg.injection_rate = cli.get_double("rate", cfg.injection_rate);
-  cfg.message_length =
-      static_cast<std::uint32_t>(cli.get_int("length", cfg.message_length));
-  cfg.total_vcs = static_cast<int>(cli.get_int("vcs", cfg.total_vcs));
-  cfg.fault_count = static_cast<int>(cli.get_int("faults", cfg.fault_count));
-  cfg.link_fault_count =
-      static_cast<int>(cli.get_int("link-faults", cfg.link_fault_count));
-  cfg.total_cycles =
-      static_cast<std::uint64_t>(cli.get_int("cycles", static_cast<std::int64_t>(cfg.total_cycles)));
-  cfg.warmup_cycles = static_cast<std::uint64_t>(
-      cli.get_int("warmup", static_cast<std::int64_t>(cfg.total_cycles / 3)));
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
-  cfg.buffer_depth = static_cast<int>(cli.get_int("buffer-depth", cfg.buffer_depth));
-  cfg.watchdog_patience = static_cast<std::uint64_t>(
-      cli.get_int("patience", static_cast<std::int64_t>(cfg.watchdog_patience)));
+  cfg.message_length = cli.get_int_as("length", cfg.message_length);
+  cfg.total_vcs = cli.get_int_as("vcs", cfg.total_vcs);
+  cfg.fault_count = cli.get_int_as("faults", cfg.fault_count);
+  cfg.link_fault_count = cli.get_int_as("link-faults", cfg.link_fault_count);
+  cfg.total_cycles = cli.get_int_as("cycles", cfg.total_cycles);
+  cfg.warmup_cycles = cli.get_int_as("warmup", cfg.total_cycles / 3);
+  cfg.seed = cli.get_int_as("seed", cfg.seed);
+  cfg.buffer_depth = cli.get_int_as("buffer-depth", cfg.buffer_depth);
+  cfg.watchdog_patience = cli.get_int_as("patience", cfg.watchdog_patience);
   cfg.fault_schedule = cli.get("fault-schedule", cfg.fault_schedule);
-  cfg.fault_max_retries =
-      static_cast<int>(cli.get_int("max-retries", cfg.fault_max_retries));
-  cfg.fault_retry_backoff = static_cast<std::uint64_t>(cli.get_int(
-      "backoff", static_cast<std::int64_t>(cfg.fault_retry_backoff)));
+  cfg.fault_max_retries = cli.get_int_as("max-retries", cfg.fault_max_retries);
+  cfg.fault_retry_backoff =
+      cli.get_int_as("backoff", cfg.fault_retry_backoff);
   cfg.scan_mode = cli.get("scan-mode", cfg.scan_mode);
-  cfg.tiles = static_cast<int>(cli.get_int("tiles", cfg.tiles));
-  cfg.step_threads =
-      static_cast<int>(cli.get_int("step-threads", cfg.step_threads));
-  cfg.route_cache =
-      cli.get_int("route-cache", cfg.route_cache ? 1 : 0) != 0;
+  cfg.tiles = cli.get_int_as("tiles", cfg.tiles);
+  cfg.step_threads = cli.get_int_as("step-threads", cfg.step_threads);
+  cfg.route_cache = cli.get_int_as("route-cache", cfg.route_cache ? 1 : 0) != 0;
   cfg.recycle_messages =
-      cli.get_int("recycle-messages", cfg.recycle_messages ? 1 : 0) != 0;
-  cfg.shard_alloc = cli.get_int("shard-alloc", cfg.shard_alloc ? 1 : 0) != 0;
+      cli.get_int_as("recycle-messages", cfg.recycle_messages ? 1 : 0) != 0;
+  cfg.shard_alloc = cli.get_int_as("shard-alloc", cfg.shard_alloc ? 1 : 0) != 0;
   if (cli.flag("kernel-stats")) cfg.collect_kernel_stats = true;
-  cfg.metrics_interval = static_cast<std::uint64_t>(cli.get_int(
-      "metrics-interval", static_cast<std::int64_t>(cfg.metrics_interval)));
+  cfg.metrics_interval =
+      cli.get_int_as("metrics-interval", cfg.metrics_interval);
   for (const auto& w : cfg.warnings()) std::cerr << "warning: " << w << "\n";
   return cfg;
 }
@@ -230,7 +222,7 @@ int cmd_sweep(const Cli& cli) {
   auto base = config_from_cli(cli);
   const double from = cli.get_double("from", 0.0005);
   const double to = cli.get_double("to", 0.005);
-  const int steps = static_cast<int>(cli.get_int("steps", 8));
+  const int steps = cli.get_int_as<int>("steps", 8);
   std::vector<SimConfig> configs;
   std::vector<double> rates;
   for (int i = 0; i < steps; ++i) {
@@ -261,7 +253,7 @@ int cmd_saturation(const Cli& cli) {
   opts.lo = cli.get_double("from", 0.0002);
   opts.hi = cli.get_double("to", 0.01);
   opts.threshold = cli.get_double("threshold", 0.95);
-  opts.iterations = static_cast<int>(cli.get_int("iterations", 7));
+  opts.iterations = cli.get_int_as<int>("iterations", 7);
   const auto r = ftmesh::analysis::find_saturation_rate(base, opts);
   std::cout << base.algorithm << ": saturation at ~" << r.rate
             << " msg/node/cycle (accepted/offered " << r.accepted << ", "
@@ -291,6 +283,33 @@ std::vector<std::string> split_list(const std::string& text) {
   std::istringstream is(text);
   while (std::getline(is, item, ',')) {
     if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
+/// A comma-separated list option parsed item by item (whole-string, like
+/// every numeric option): `--faults 0,5x` is an error, not [0, 5].
+std::vector<int> int_list(const Cli& cli, const std::string& name,
+                          const std::string& fallback) {
+  std::vector<int> out;
+  for (const auto& item : split_list(cli.get(name, fallback))) {
+    try {
+      out.push_back(ftmesh::core::parse_integer<int>(item));
+    } catch (const ftmesh::core::NumberFormatError& e) {
+      throw std::invalid_argument("--" + name + ": " + e.what());
+    }
+  }
+  return out;
+}
+
+std::vector<double> real_list(const Cli& cli, const std::string& name) {
+  std::vector<double> out;
+  for (const auto& item : split_list(cli.get(name, ""))) {
+    try {
+      out.push_back(ftmesh::core::parse_real(item));
+    } catch (const ftmesh::core::NumberFormatError& e) {
+      throw std::invalid_argument("--" + name + ": " + e.what());
+    }
   }
   return out;
 }
@@ -364,14 +383,10 @@ int cmd_campaign(const Cli& cli) {
   cmp::CampaignSpec spec;
   spec.base = config_from_cli(cli);
   spec.algorithms = split_list(cli.get("algorithms", ""));
-  for (const auto& r : split_list(cli.get("rates", ""))) {
-    spec.rates.push_back(std::stod(r));
-  }
-  for (const auto& f : split_list(cli.get("fault-counts", ""))) {
-    spec.fault_counts.push_back(std::stoi(f));
-  }
-  spec.patterns = static_cast<int>(cli.get_int("patterns", 1));
-  spec.threads = static_cast<int>(cli.get_int("threads", 0));
+  spec.rates = real_list(cli, "rates");
+  spec.fault_counts = int_list(cli, "fault-counts", "");
+  spec.patterns = cli.get_int_as("patterns", 1);
+  spec.threads = cli.get_int_as("threads", 0);
 
   cmp::StreamOptions options;
   options.threads = spec.threads;
@@ -393,7 +408,7 @@ int cmd_campaign(const Cli& cli) {
     options.checkpoint_dir = dir;
   }
   options.checkpoint_every =
-      static_cast<int>(cli.get_int("checkpoint-every", 32));
+      cli.get_int_as<int>("checkpoint-every", 32);
 
   // --progress: heartbeat on TTY stderr; --progress=force prints even when
   // stderr is redirected (throttled for logs).
@@ -491,17 +506,14 @@ int cmd_verify(const Cli& cli) {
     names = split_list(algo_arg);
   }
 
-  std::vector<int> fault_counts;
-  for (const auto& f : split_list(cli.get("faults", "0"))) {
-    fault_counts.push_back(std::stoi(f));
-  }
+  std::vector<int> fault_counts = int_list(cli, "faults", "0");
   if (fault_counts.empty()) fault_counts.push_back(0);
 
   ftmesh::verify::VerifyOptions vopts;
-  vopts.threads = static_cast<int>(cli.get_int("threads", 0));
+  vopts.threads = cli.get_int_as<int>("threads", 0);
 
   const int link_faults =
-      static_cast<int>(cli.get_int("link-faults", cfg.link_fault_count));
+      cli.get_int_as<int>("link-faults", cfg.link_fault_count);
 
   bool all_ok = true;
   for (const int fault_count : fault_counts) {
@@ -596,12 +608,9 @@ int cmd_audit(const Cli& cli) {
         "link-edge", FaultMap::from_state(mesh, {}, {{a, Direction::XPlus}}));
   }
   if (has("random")) {
-    std::vector<int> fault_counts;
-    for (const auto& f : split_list(cli.get("faults", "3"))) {
-      fault_counts.push_back(std::stoi(f));
-    }
+    const std::vector<int> fault_counts = int_list(cli, "faults", "3");
     const int link_faults =
-        static_cast<int>(cli.get_int("link-faults", cfg.link_fault_count));
+        cli.get_int_as<int>("link-faults", cfg.link_fault_count);
     for (const int fault_count : fault_counts) {
       if (fault_count <= 0 && link_faults <= 0) continue;
       ftmesh::sim::Rng rng = ftmesh::sim::Rng(cfg.seed).derive(0xFA);
@@ -613,7 +622,7 @@ int cmd_audit(const Cli& cli) {
   }
 
   ftmesh::verify::AuditOptions aopts;
-  aopts.threads = static_cast<int>(cli.get_int("threads", 0));
+  aopts.threads = cli.get_int_as<int>("threads", 0);
   aopts.max_violations = static_cast<std::size_t>(
       std::max<std::int64_t>(0, cli.get_int("max-violations", 16)));
 
@@ -682,13 +691,13 @@ int cmd_audit(const Cli& cli) {
 // link faults, cross-validated by Monte-Carlo sampling (--trials 0 skips
 // the sampling pass).
 int cmd_reliability(const Cli& cli) {
-  const int width = static_cast<int>(cli.get_int("width", 8));
-  const int height = static_cast<int>(cli.get_int("height", 8));
+  const int width = cli.get_int_as<int>("width", 8);
+  const int height = cli.get_int_as<int>("height", 8);
   const double p = cli.get_double("node-prob", 0.01);
   const double q = cli.get_double("link-prob", 0.01);
-  const int trials = static_cast<int>(cli.get_int("trials", 10000));
+  const int trials = cli.get_int_as<int>("trials", 10000);
   const auto seed =
-      static_cast<std::uint64_t>(cli.get_int("seed", 1));
+      cli.get_int_as<std::uint64_t>("seed", 1);
 
   const ftmesh::topology::Mesh mesh(width, height);
   const ftmesh::analysis::ReliabilityModel model(mesh, p, q);

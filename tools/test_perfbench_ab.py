@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Unit checks for tools/perfbench_ab.py's pure functions: median,
-quartiles, ratio, verdict and the parsing of run.py's output.
+quartiles, ratio, verdict, pair wins, the claim rule, the unresolved
+verdict and the parsing of run.py's output.
 
 Run with `python3 tools/test_perfbench_ab.py`.
 """
@@ -99,6 +100,80 @@ class ParseRun(unittest.TestCase):
         self.assertAlmostEqual(rows[0]["ratio"], 1.4)
         self.assertNotIn("verdict", rows[1])  # per-layer: no bound
         self.assertAlmostEqual(rows[1]["ratio"], 0.5)
+
+
+class PairWins(unittest.TestCase):
+    def test_direction_and_ties(self):
+        parent = [100, 100, 100, 100]
+        change = [110, 90, 100, 120]
+        self.assertEqual(ab.pair_wins(parent, change, "higher"), (2, 1))
+        self.assertEqual(ab.pair_wins(parent, change, "lower"), (1, 2))
+
+    def test_unaligned_pairs_are_an_error(self):
+        with self.assertRaises(ValueError):
+            ab.pair_wins([1, 2], [1], "higher")
+
+
+class Claim(unittest.TestCase):
+    PARENT = [380, 382, 376, 390, 384, 370, 395, 381, 383, 379]
+
+    def test_nine_of_ten_and_gap_beyond_iqr_holds(self):
+        change = [445, 440, 450, 430, 448, 446, 380, 444, 452, 441]
+        c = ab.claim_check(self.PARENT, change, "higher")
+        self.assertEqual((c["wins"], c["losses"], c["pairs"]), (9, 1, 10))
+        self.assertTrue(c["won_pairs"])
+        self.assertTrue(c["gap_exceeds_iqr"])
+        self.assertTrue(c["holds"])
+
+    def test_eight_of_ten_fails(self):
+        change = [445, 440, 450, 430, 448, 446, 380, 444, 370, 441]
+        c = ab.claim_check(self.PARENT, change, "higher")
+        self.assertEqual(c["wins"], 8)
+        self.assertFalse(c["won_pairs"])
+        self.assertFalse(c["holds"])
+
+    def test_gap_inside_parent_iqr_fails(self):
+        # Every pair won, but by less than the parent's own spread.
+        change = [v + 1 for v in self.PARENT]
+        c = ab.claim_check(self.PARENT, change, "higher")
+        self.assertEqual(c["wins"], 10)
+        self.assertFalse(c["gap_exceeds_iqr"])
+        self.assertFalse(c["holds"])
+
+    def test_lower_is_better(self):
+        parent = [10.0, 10.2, 9.9, 10.1, 10.0]
+        change = [8.0, 8.1, 7.9, 8.2, 8.0]
+        self.assertTrue(ab.claim_check(parent, change, "lower")["holds"])
+        self.assertFalse(ab.claim_check(change, parent, "lower")["holds"])
+
+    def test_parse_claim(self):
+        self.assertEqual(ab.parse_claim("cycles_per_s:mesh64-tiled"),
+                         ("cycles_per_s", "mesh64-tiled"))
+        for bad in ("cycles_per_s", ":mesh64-tiled", "cycles_per_s:"):
+            with self.assertRaises(ValueError):
+                ab.parse_claim(bad)
+
+
+class Unresolved(unittest.TestCase):
+    SPEC = [{"name": "setup_s", "unit": "s", "better": "lower",
+             "bound": 0.25}]
+
+    def test_parent_spread_wider_than_bound_is_unresolved(self):
+        parent = [{"metrics": {"setup_s": v}} for v in (1.0, 3.0, 1.1, 2.9)]
+        change = [{"metrics": {"setup_s": v}} for v in (3.0, 3.1, 2.9, 3.0)]
+        row = ab.summarize(self.SPEC, parent, change)[0]
+        self.assertGreater(ab.spread([1.0, 3.0, 1.1, 2.9]), 0.25)
+        self.assertEqual(row["verdict"], "unresolved")
+
+    def test_tight_parent_keeps_the_verdict(self):
+        parent = [{"metrics": {"setup_s": v}} for v in (1.0, 1.02, 0.98)]
+        change = [{"metrics": {"setup_s": v}} for v in (2.0, 2.0, 2.0)]
+        row = ab.summarize(self.SPEC, parent, change)[0]
+        self.assertEqual(row["verdict"], "worse")
+        self.assertEqual(row["wins"], (0, 3))
+
+    def test_zero_median_has_no_spread(self):
+        self.assertIsNone(ab.spread([0, 0, 0]))
 
 
 if __name__ == "__main__":
